@@ -14,8 +14,8 @@ import math
 import sys
 
 from . import bench as bench_mod
-from .core import FLOAT_MODE, INT_MODE
-from .data import DatasetSpec, generate, read_sosd, rescale_unit, write_sosd
+from .core import INT_MODE, MODES
+from .data import SYNTHETIC_KINDS, DatasetSpec, generate, read_sosd, rescale_unit, write_sosd
 from .errors import (
     CountMismatch,
     EspcError,
@@ -23,6 +23,7 @@ from .errors import (
     TruncatedFile,
 )
 from .index import (
+    POLICY_KINDS,
     SizingPolicy,
     build_espc,
     choose_k,
@@ -40,10 +41,6 @@ from .stats import (
     partition_probabilities,
     renyi_entropy_2,
 )
-
-_MODES = (INT_MODE, FLOAT_MODE)
-_SYNTH_KINDS = ("uniform", "normal", "beta22", "lognormal")
-
 
 class _UsageError(Exception):
     pass
@@ -86,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser)
 
     p = sub.add_parser("generate", help="write a synthetic dataset to a key file")
-    p.add_argument("--kind", choices=_SYNTH_KINDS, required=True)
+    p.add_argument("--kind", choices=SYNTHETIC_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mu", type=float, default=None)
@@ -97,32 +94,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate a key file, optionally rescale to [0, 1]")
     p.add_argument("--in", dest="src", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=_MODES, default=INT_MODE)
+    p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--rescale", action="store_true")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("build", help="build an index over a key file")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=_MODES, default=INT_MODE)
+    p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument(
-        "--policy",
-        choices=("linear", "sublinear", "chebyshev", "subexponential"),
-        default=None,
-    )
+    p.add_argument("--policy", choices=POLICY_KINDS, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="exact rank of one value via a stored index")
     p.add_argument("--index", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=_MODES, default=INT_MODE)
+    p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--q", required=True)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("rho", help="estimate the squared L2 norm of the key density")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=_MODES, default=INT_MODE)
+    p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--method", choices=(HISTOGRAM, KERNEL), default=HISTOGRAM)
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
@@ -131,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="order-2 entropy of the cell occupancy profile")
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=_MODES, default=INT_MODE)
+    p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
@@ -140,14 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="error-vs-K experiment, CSV output")
     p.add_argument("--config", default=None, help="JSON file with BenchConfig keys")
-    p.add_argument("--kind", choices=_SYNTH_KINDS, default=None)
+    p.add_argument("--kind", choices=SYNTHETIC_KINDS, default=None)
     p.add_argument("--data", default=None, help="key file instead of a synthetic kind")
-    p.add_argument("--mode", choices=_MODES, default=INT_MODE)
+    p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--n", type=int, default=None, help="synthetic draw count")
     p.add_argument("--n-sub", type=int, default=None)
     p.add_argument("--k-grid", default=None, help="comma-separated interval counts")
     p.add_argument("--queries", type=int, default=None)
-    p.add_argument("--query-kind", choices=_SYNTH_KINDS, default=None)
+    p.add_argument("--query-kind", choices=SYNTHETIC_KINDS, default=None)
     p.add_argument("--rho-draws", type=int, default=None)
     p.add_argument("--rho-method", choices=(HISTOGRAM, KERNEL), default=None)
     p.add_argument("--seed", type=int, default=None)

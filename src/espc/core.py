@@ -7,14 +7,16 @@ clever search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NonFiniteKey
+from .errors import EmptyInput, InvalidParams, NonFiniteKey
 
 INT_MODE = "int64"
 FLOAT_MODE = "float64"
+MODES = (INT_MODE, FLOAT_MODE)
 
 _DTYPES = {INT_MODE: np.uint64, FLOAT_MODE: np.float64}
 
@@ -66,9 +68,10 @@ def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
     Raises:
         EmptyInput: ``raw`` has no elements.
         NonFiniteKey: float mode saw NaN or +/-inf.
+        InvalidParams: ``mode`` is not one of :data:`MODES`.
     """
     if mode not in _DTYPES:
-        raise ValueError(f"unknown key mode {mode!r}")
+        raise InvalidParams(f"unknown key mode {mode!r}")
     arr = np.asarray(raw, dtype=_DTYPES[mode])
     if arr.ndim != 1:
         arr = arr.reshape(-1)
@@ -91,12 +94,16 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
     duplicated key includes every copy).  Always in [0, n] and
     non-decreasing in ``q``.
     """
-    if A.mode == INT_MODE and isinstance(q, (int, np.integer)):
-        # Keep the vectorized comparison inside the uint64 domain.
+    if A.mode == INT_MODE:
+        # numpy would compare in float64, rounding keys above 2^53; an integer
+        # key is <= q exactly when it is <= floor(q), so clamp, floor, compare.
+        if isinstance(q, (float, np.floating)):
+            q = math.floor(min(q, 2.0**64)) if q >= 0 else -1  # NaN counts as below
         if q < 0:
             return 0
         if q > _UINT64_MAX:
             return A.n
+        q = np.uint64(q)
     return int(np.count_nonzero(A.keys <= q))
 
 

@@ -31,7 +31,7 @@ BETA22 = "beta22"
 LOGNORMAL = "lognormal"
 FILE = "file"
 
-_SYNTHETIC_KINDS = (UNIFORM, NORMAL, BETA22, LOGNORMAL)
+SYNTHETIC_KINDS = (UNIFORM, NORMAL, BETA22, LOGNORMAL)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def generate(spec: DatasetSpec) -> KeyArray:
         if not path:
             raise InvalidParams("file datasets need params['path']")
         return read_sosd(path, mode=str(spec.params.get("mode", INT_MODE)))
-    if spec.kind not in _SYNTHETIC_KINDS:
+    if spec.kind not in SYNTHETIC_KINDS:
         raise InvalidParams(f"unknown dataset kind {spec.kind!r}")
     if spec.n < 1:
         raise InvalidParams(f"need n >= 1, got {spec.n}")

@@ -5,6 +5,9 @@ intervals and stores one half-integer rank estimate per interval.  A
 lookup locates its interval with one division, reads the stored estimate,
 and corrects it to the exact rank with an exponential search.  Build cost
 is O(n + K); lookup cost is O(log error).
+
+The flat and two-layer indexes share one lookup path, :func:`_lookup`; they
+differ only in how they predict the start of the search.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     single interval with estimate n/2.
 
     Raises:
-        InvalidK: k < 1.
+        InvalidK: k < 1, or (x_last - x_first)/k is not a positive finite float.
     """
     if k < 1:
         raise InvalidK(f"interval count must be >= 1, got {k}")
@@ -79,6 +82,8 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
         r.setflags(write=False)
         return EspcIndex(K=1, delta=0.0, x_first=x_first, x_last=x_last, n=n, r=r)
     delta = (x_last - x_first) / k
+    if not 0.0 < delta < math.inf:
+        raise InvalidK(f"{k} intervals over [{x_first}, {x_last}] have length {delta}")
     ks = assign_intervals(A.keys, x_first, delta, k)
     counts = np.bincount(ks, minlength=k + 1)[1:].astype(np.float64)
     before = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
@@ -91,10 +96,10 @@ def locate_interval(idx: EspcIndex, q) -> int:
     """Interval number (1-based) containing ``q``; constant time.
 
     Raises:
-        OutOfRange: q outside [x_first, x_last].
+        OutOfRange: q outside [x_first, x_last], or NaN.
     """
     qf = float(q)
-    if qf < idx.x_first or qf > idx.x_last:
+    if not idx.x_first <= qf <= idx.x_last:  # NaN fails this too
         raise OutOfRange(f"{q!r} outside [{idx.x_first}, {idx.x_last}]")
     if idx.delta == 0.0:
         return 1
@@ -145,18 +150,35 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
     endpoint checks and the corrective search.
 
     Raises:
-        IndexMismatch: index was built over an array of different length.
+        IndexMismatch: index was built over an array of other length or key range.
+        OutOfRange: q is NaN.
     """
-    if idx.n != A.n:
-        raise IndexMismatch(f"index holds n={idx.n}, array has n={A.n}")
-    if q < A.x_min:
+    return _lookup(idx, A, q, idx.x_first, idx.x_last, _flat_start)
+
+
+def _flat_start(idx: EspcIndex, q) -> tuple[int, int]:
+    return math.ceil(idx.r.item(locate_interval(idx, q) - 1)), 0
+
+
+def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_of):
+    """Predict-then-correct body shared by both index types.
+
+    ``start_of(index, q)`` returns the start and the comparisons it cost.
+    ``x_first``/``x_last`` are the built key range as floats (None: unchecked).
+    """
+    keys = A.keys
+    n, lo, hi = len(keys), keys.item(0), keys.item(-1)
+    if index.n != n:
+        raise IndexMismatch(f"index holds n={index.n}, array has n={n}")
+    if float(lo) != x_first or (x_last is not None and float(hi) != x_last):
+        raise IndexMismatch(f"array keys [{lo}, {hi}] are not the keys the index was built over")
+    if q < lo:
         return SearchOutcome(rank=0, comparisons=1)
-    if q > A.x_max:
-        return SearchOutcome(rank=A.n, comparisons=2)
-    k = locate_interval(idx, q)
-    start = math.ceil(idx.r[k - 1])
+    if q > hi:
+        return SearchOutcome(rank=n, comparisons=2)
+    start, cost = start_of(index, q)
     corrected = exponential_search(A, start, q)
-    return SearchOutcome(rank=corrected.rank, comparisons=2 + corrected.comparisons)
+    return SearchOutcome(rank=corrected.rank, comparisons=2 + cost + corrected.comparisons)
 
 
 def approximation_error(idx: EspcIndex, A: KeyArray, q) -> float:
@@ -174,7 +196,7 @@ SUBLINEAR = "sublinear"
 CHEBYSHEV = "chebyshev"
 SUBEXPONENTIAL = "subexponential"
 
-_POLICY_KINDS = (LINEAR, SUBLINEAR, CHEBYSHEV, SUBEXPONENTIAL)
+POLICY_KINDS = (LINEAR, SUBLINEAR, CHEBYSHEV, SUBEXPONENTIAL)
 
 
 @dataclass(frozen=True)
@@ -189,17 +211,10 @@ class SizingPolicy:
     """
 
     kind: str
-    mu: float | None = None
-    sigma: float | None = None
-    tail_rate: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _POLICY_KINDS:
+        if self.kind not in POLICY_KINDS:
             raise InvalidPolicyParams(f"unknown sizing policy {self.kind!r}")
-        if self.sigma is not None and self.sigma <= 0:
-            raise InvalidPolicyParams("sigma must be positive")
-        if self.tail_rate is not None and self.tail_rate <= 0:
-            raise InvalidPolicyParams("tail rate must be positive")
 
 
 def choose_k(policy: SizingPolicy, n: int) -> int:
@@ -273,22 +288,16 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
     full array, and the reported comparisons are the sum of both layers.
 
     Raises:
-        IndexMismatch: index was built over an array of different length.
+        IndexMismatch: index was built over an array of other length or first key.
+        OutOfRange: q is NaN.
     """
-    if h.n != A.n:
-        raise IndexMismatch(f"index holds n={h.n}, array has n={A.n}")
-    if q < A.x_min:
-        return SearchOutcome(rank=0, comparisons=1)
-    if q > A.x_max:
-        return SearchOutcome(rank=A.n, comparisons=2)
-    top_out = evaluate_rank(h.top, h.boundaries, q)
-    bucket = top_out.rank  # >= 1 because boundaries[0] == x_min <= q
-    start = min(math.ceil((bucket - 0.5) * A.n / h.K), A.n)
-    corrected = exponential_search(A, start, q)
-    return SearchOutcome(
-        rank=corrected.rank,
-        comparisons=2 + top_out.comparisons + corrected.comparisons,
-    )
+    return _lookup(h, A, q, h.top.x_first, None, _hier_start)
+
+
+def _hier_start(h: HierIndex, q) -> tuple[int, int]:
+    top = evaluate_rank(h.top, h.boundaries, q)
+    # top.rank >= 1 because boundaries[0] == x_min <= q.
+    return min(math.ceil((top.rank - 0.5) * h.n / h.K), h.n), top.comparisons
 
 
 # --- serialization ----------------------------------------------------------

@@ -27,17 +27,7 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
 
     Costs at most ceil(log2(n + 1)) key comparisons.
     """
-    keys = A.keys
-    lo, hi = 0, A.n
-    comparisons = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        comparisons += 1
-        if keys.item(mid) <= q:
-            lo = mid + 1
-        else:
-            hi = mid
-    return SearchOutcome(rank=lo, comparisons=comparisons)
+    return _bisect(A.keys, 0, A.n, q, 0)
 
 
 def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
@@ -63,10 +53,10 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
         comparisons += 1
         go_right = keys.item(i) <= q
 
+    step = 1
     if go_right:
         # rank > i: probe i+1, i+2, i+4, ... until a key exceeds q.
         lo, hi = i + 1, n
-        step = 1
         while i + step < n:
             comparisons += 1
             if keys.item(i + step) <= q:
@@ -78,8 +68,7 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     else:
         # rank <= i: probe i-1, i-2, i-4, ... until a key is <= q.
         lo, hi = 0, i
-        step = 1
-        while hi > lo:
+        while hi > 0:
             j = i - step
             if j < 0:
                 j = 0
@@ -88,10 +77,13 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
                 lo = j + 1
                 break
             hi = j
-            if j == 0:
-                break
             step *= 2
 
+    return _bisect(keys, lo, hi, q, comparisons)
+
+
+def _bisect(keys, lo: int, hi: int, q, comparisons: int) -> SearchOutcome:
+    """Rank of ``q`` known to lie in [lo, hi]; adds one comparison per probe."""
     while lo < hi:
         mid = (lo + hi) // 2
         comparisons += 1

@@ -130,10 +130,10 @@ def log_error_entropy_bound(
     """
     if n < 1:
         raise InvalidParams(f"need n >= 1, got {n}")
-    bound = math.log(1.5 * n) - renyi_entropy_2(profile)
+    log_scale = math.log(1.5 * n)
     if base is not None:
-        bound = math.log(1.5 * n) / math.log(base) - renyi_entropy_2(profile, base=base)
-    return bound
+        log_scale /= math.log(base)
+    return log_scale - renyi_entropy_2(profile, base=base)
 
 
 # --- density estimation ------------------------------------------------------
@@ -173,9 +173,9 @@ class DensityEstimate:
     """Evaluable density estimate over [a, b]; integrates to ~1.
 
     ``histogram`` kind stores bin edges and heights; ``kernel`` kind
-    stores the bandwidth, a handle to the sample, and a precomputed grid
-    that evaluation interpolates on.  Calling the instance evaluates the
-    density (vectorized, >= 0 everywhere, 0 outside [a, b]).
+    stores a precomputed grid that evaluation interpolates on.  Calling
+    the instance evaluates the density (vectorized, >= 0 everywhere, 0
+    outside [a, b]).
     """
 
     kind: str
@@ -183,8 +183,6 @@ class DensityEstimate:
     b: float
     edges: np.ndarray | None = None
     heights: np.ndarray | None = None
-    bandwidth: float | None = None
-    sample: np.ndarray | None = None
     grid_x: np.ndarray | None = None
     grid_y: np.ndarray | None = None
 
@@ -275,8 +273,6 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
         kind=KERNEL,
         a=lo,
         b=hi,
-        bandwidth=float(bandwidth),
-        sample=A.keys,
         grid_x=grid_x,
         grid_y=grid_y,
     )

@@ -202,3 +202,12 @@ class TestUsage:
             capsys, ["query", "--index", idx_path, "--data", int_file, "--q", "banana"]
         )
         assert code == 1
+
+    def test_nan_query_exits_one_without_traceback(self, tmp_path, capsys):
+        data, idx_path = str(tmp_path / "keys.sosd"), str(tmp_path / "keys.espc")
+        write_sosd(data, validate_key_array([0.5, 1.5, 2.5], FLOAT_MODE))
+        float_args = ["--data", data, "--mode", "float64"]
+        assert dispatch(["build", *float_args, "--k", "2", "--out", idx_path]) == 0
+        code, _, err = _run(capsys, ["query", "--index", idx_path, *float_args, "--q", "nan"])
+        assert code == 1
+        assert err.startswith("error:")

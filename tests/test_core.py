@@ -1,5 +1,7 @@
 """Key-array validation and the linear-scan rank oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from espc.core import (
     rank_bruteforce,
     validate_key_array,
 )
-from espc.errors import EmptyInput, NonFiniteKey
+from espc.errors import EmptyInput, EspcError, NonFiniteKey
 
 
 class TestValidateKeyArray:
@@ -37,7 +39,7 @@ class TestValidateKeyArray:
             validate_key_array([], FLOAT_MODE)
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EspcError):
             validate_key_array([1], "int32")
 
     def test_duplicates_preserved(self):
@@ -81,6 +83,17 @@ class TestRankBruteforce:
         A = validate_key_array([2**64 - 2, 2**64 - 1], INT_MODE)
         assert rank_bruteforce(A, 2**64 - 2) == 1
         assert rank_bruteforce(A, 2**64 - 1) == 2
+
+    def test_float_and_signed_queries_on_int_keys(self):
+        # numpy alone would compare these in float64, where all three keys equal 2**60.
+        A = validate_key_array([2**60, 2**60 + 1, 2**60 + 2], INT_MODE)
+        for q in (float(2**60), np.float64(2**60), np.int64(2**60)):
+            assert rank_bruteforce(A, q) == 1
+        assert rank_bruteforce(A, 2.0**64) == 3
+        assert rank_bruteforce(A, math.inf) == 3
+        assert rank_bruteforce(A, -math.inf) == 0
+        assert rank_bruteforce(A, -0.5) == 0
+        assert rank_bruteforce(A, math.nan) == 0
 
     def test_bounds_and_monotonicity(self):
         rng = np.random.default_rng(11)

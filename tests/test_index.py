@@ -67,6 +67,10 @@ class TestBuild:
     def test_invalid_k(self):
         with pytest.raises(InvalidK):
             build_espc(_four_keys(), 0)
+        # The interval length underflows to 0, or the key span overflows.
+        for keys, k in (([0.0, 5e-324], 3), ([-1.7e308, 1.7e308], 1)):
+            with pytest.raises(InvalidK):
+                build_espc(validate_key_array(keys, FLOAT_MODE), k)
 
     def test_estimates_reconstruct_from_counts(self):
         rng = np.random.default_rng(21)
@@ -98,6 +102,9 @@ class TestLocateAndPredict:
             locate_interval(idx, -0.1)
         with pytest.raises(OutOfRange):
             locate_interval(idx, 3.1)
+        for fn in (locate_interval, predict):
+            with pytest.raises(OutOfRange):
+                fn(idx, math.nan)
 
     def test_right_edge_never_overflows(self):
         rng = np.random.default_rng(22)
@@ -150,6 +157,16 @@ class TestEvaluateRank:
         idx = build_espc(A, 2)
         with pytest.raises(IndexMismatch):
             evaluate_rank(idx, B, 1.0)
+        for other in ([0.0, 1.0, 2.0, 4.0], [-1.0, 1.0, 2.0, 3.0]):  # same n, other range
+            with pytest.raises(IndexMismatch):
+                evaluate_rank(idx, validate_key_array(other, FLOAT_MODE), 2.5)
+
+    def test_nan_query_raises_out_of_range(self):
+        A = _four_keys()
+        with pytest.raises(OutOfRange):
+            evaluate_rank(build_espc(A, 2), A, math.nan)
+        with pytest.raises(OutOfRange):
+            evaluate_rank_hier(build_equal_probability(A, 2, 1), A, math.nan)
 
     def test_exactness_random_with_boundary_adversaries(self):
         rng = np.random.default_rng(25)
@@ -214,11 +231,9 @@ class TestSizing:
     def test_chebyshev(self):
         n = 100
         expected = math.ceil(n * math.sqrt(n * math.log(n)))
-        assert choose_k(SizingPolicy("chebyshev", mu=0.0, sigma=1.0), n) == expected
+        assert choose_k(SizingPolicy("chebyshev"), n) == expected
 
     def test_bad_params(self):
-        with pytest.raises(InvalidPolicyParams):
-            SizingPolicy("chebyshev", sigma=-1.0)
         with pytest.raises(InvalidPolicyParams):
             SizingPolicy("nope")
         with pytest.raises(InvalidPolicyParams):
@@ -289,6 +304,9 @@ class TestHierarchical:
         h = build_equal_probability(A, 2, 1)
         with pytest.raises(IndexMismatch):
             evaluate_rank_hier(h, B, 1.0)
+        C = validate_key_array(np.arange(1.0, 11.0), FLOAT_MODE)  # same n, other first key
+        with pytest.raises(IndexMismatch):
+            evaluate_rank_hier(h, C, 5.0)
 
 
 class TestSerialization:

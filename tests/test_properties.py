@@ -1,0 +1,96 @@
+"""Property tests: every lookup path agrees with the linear-scan oracle.
+
+Key sets cover unsigned integers near 2^64, heavy duplicates, all-equal
+keys and finite floats of any magnitude; queries are keys, neighbours of
+keys and arbitrary values on both sides of the key range.
+"""
+
+import math
+
+import pytest
+
+from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
+from espc.errors import InvalidK
+from espc.index import build_equal_probability, build_espc, evaluate_rank, evaluate_rank_hier
+from espc.search import binary_search_rank, exponential_search
+
+hypothesis = pytest.importorskip("hypothesis")
+given, st = hypothesis.given, hypothesis.strategies
+
+_U64_MAX = 2**64 - 1
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+_int_keys = st.one_of(
+    st.lists(st.integers(_U64_MAX - 2**12, _U64_MAX), min_size=1, max_size=60),
+    st.lists(st.integers(0, _U64_MAX), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0, 1, 2**53 + 1, _U64_MAX]), min_size=1, max_size=60),
+).map(lambda keys: validate_key_array(keys, INT_MODE))
+_float_keys = st.one_of(
+    st.lists(_FINITE, min_size=1, max_size=60),
+    st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1e300]), min_size=1, max_size=60),
+).map(lambda keys: validate_key_array(keys, FLOAT_MODE))
+_equal_keys = st.one_of(
+    st.tuples(st.integers(0, _U64_MAX), st.integers(1, 40)).map(
+        lambda kn: validate_key_array([kn[0]] * kn[1], INT_MODE)
+    ),
+    st.tuples(_FINITE, st.integers(1, 40)).map(
+        lambda kn: validate_key_array([kn[0]] * kn[1], FLOAT_MODE)
+    ),
+)
+key_arrays = st.one_of(_int_keys, _float_keys, _equal_keys)
+
+
+@st.composite
+def arrays_and_queries(draw):
+    A = draw(key_arrays)
+    keys = A.keys.tolist()
+    if A.mode == INT_MODE:
+        near = [k + d for k in keys[:10] for d in (-1, 1)] + [float(k) for k in keys[:10]]
+        free = st.one_of(st.integers(-(2**65), 2**65), _FINITE)
+    else:
+        near = [math.nextafter(k, d) for k in keys[:10] for d in (-math.inf, math.inf)]
+        free = _FINITE
+    pool = st.one_of(st.sampled_from(keys + near), free)
+    return A, draw(st.lists(pool, min_size=1, max_size=20))
+
+
+def _buildable(build, *args):
+    try:
+        return build(*args)
+    except InvalidK:
+        return None  # key span / k is not a positive finite float
+
+
+@given(arrays_and_queries(), st.integers(1, 80))
+def test_flat_lookup_matches_oracle(data, k):
+    A, queries = data
+    idx = _buildable(build_espc, A, k)
+    if idx is None:
+        span = float(A.keys[-1]) - float(A.keys[0])
+        assert not 0.0 < span / k < math.inf
+        return
+    for q in queries:
+        assert evaluate_rank(idx, A, q).rank == rank_bruteforce(A, q)
+
+
+@given(arrays_and_queries(), st.integers(1, 80), st.integers(1, 20))
+def test_hier_lookup_matches_oracle(data, k, k_top):
+    A, queries = data
+    h = _buildable(build_equal_probability, A, min(k, A.n), k_top)
+    if h is None:
+        return
+    for q in queries:
+        assert evaluate_rank_hier(h, A, q).rank == rank_bruteforce(A, q)
+
+
+@given(arrays_and_queries())
+def test_searches_match_oracle_from_every_start(data):
+    A, queries = data
+    for q in queries:
+        rank = rank_bruteforce(A, q)
+        assert binary_search_rank(A, q).rank == rank
+        for i in range(A.n + 1):
+            out = exponential_search(A, i, q)
+            assert out.rank == rank
+            assert out.comparisons <= 2 * math.ceil(math.log2(abs(rank - i) + 2)) + 4
+
