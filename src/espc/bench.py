@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .core import KeyArray
+from .core import FLOAT_MODE, KeyArray, exact_ranks, validate_key_array
 from .data import DatasetSpec, FILE, generate, rescale_unit, subsample
 from .errors import InvalidParams
 from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, build_espc, evaluate_rank, predict_many
@@ -107,28 +108,25 @@ def draw_queries(cfg: BenchConfig, keys: KeyArray) -> np.ndarray:
     return generate(qspec).keys
 
 
-def measure_errors(idx: EspcIndex, keys: KeyArray, queries: np.ndarray) -> float:
-    """Mean absolute prediction error of the index over the workload."""
-    predictions = predict_many(idx, queries)
-    ranks = np.searchsorted(keys.keys, queries, side="right")
-    return float(np.mean(np.abs(ranks - predictions)))
+def measure_errors(idx: EspcIndex, queries: np.ndarray, ranks: np.ndarray) -> float:
+    """Mean absolute prediction error of the index, given the queries' exact ranks."""
+    return float(np.mean(np.abs(ranks - predict_many(idx, queries))))
 
 
 def measure_comparisons(
-    idx: EspcIndex, keys: KeyArray, queries: np.ndarray
+    idx: EspcIndex, keys: KeyArray, queries: np.ndarray, ranks: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Comparison count per query plus wall time per lookup in ns.
 
-    Also cross-checks each corrected rank against searchsorted.
+    Also cross-checks each corrected rank against the exact ``ranks``.
     """
-    expected = np.searchsorted(keys.keys, queries, side="right")
     counts = np.empty(len(queries), dtype=np.int64)
     start = time.perf_counter()
     for j, q in enumerate(queries):
         out = evaluate_rank(idx, keys, q)
         counts[j] = out.comparisons
-        if out.rank != expected[j]:
-            raise AssertionError(f"lookup disagreed with searchsorted at q={q!r}")
+        if out.rank != ranks[j]:
+            raise AssertionError(f"lookup disagreed with the exact rank at q={q!r}")
     elapsed = time.perf_counter() - start
     return counts, elapsed * 1e9 / len(queries)
 
@@ -141,16 +139,16 @@ def run_error_experiment(cfg: BenchConfig) -> list[BenchRecord]:
     it against the measured mean error via :func:`bound_violations`.
     """
     keys = prepare_keys(cfg)
-    support_lo = float(keys.keys[0])
-    support_hi = float(keys.keys[-1])
-    rho_keys = estimate_rho(keys, cfg.rho_draws, cfg.rho_method, seed=cfg.seed)
     queries = draw_queries(cfg, keys)
-    rho_queries = None
+    ranks = exact_ranks(keys, queries)
+    lo, hi = float(keys.keys[0]), float(keys.keys[-1])
+    rho = estimate_rho(keys, cfg.rho_draws, cfg.rho_method, seed=cfg.seed).value
+    bound = partial(error_bound_rho, rho=rho)
     if cfg.query_dist is not None:
-        qsample = generate(replace(cfg.query_dist, n=max(cfg.queries, 4), seed=cfg.seed + 2))
-        rho_queries = estimate_rho(qsample, cfg.rho_draws, cfg.rho_method, seed=cfg.seed + 3)
-        support_lo = min(support_lo, float(qsample.keys[0]))
-        support_hi = max(support_hi, float(qsample.keys[-1]))
+        sample = validate_key_array(queries, FLOAT_MODE)
+        rho_q = estimate_rho(sample, cfg.rho_draws, cfg.rho_method, seed=cfg.seed + 3).value
+        lo, hi = min(lo, float(sample.keys[0])), max(hi, float(sample.keys[-1]))
+        bound = partial(error_bound_query_dist, rho_keys=rho, rho_queries=rho_q)
 
     label = _dataset_label(cfg.dataset)
     records = []
@@ -158,28 +156,22 @@ def run_error_experiment(cfg: BenchConfig) -> list[BenchRecord]:
         t0 = time.perf_counter()
         idx = build_espc(keys, k)
         build_ms = (time.perf_counter() - t0) * 1e3
-        mean_error = measure_errors(idx, keys, queries)
-        counts, query_ns = measure_comparisons(idx, keys, queries)
-        if rho_queries is None:
-            bound = error_bound_rho(keys.n, k, support_lo, support_hi, rho_keys.value)
-        else:
-            bound = error_bound_query_dist(
-                keys.n, k, support_lo, support_hi, rho_keys.value, rho_queries.value
-            )
+        mean_error = measure_errors(idx, queries, ranks)
+        counts, query_ns = measure_comparisons(idx, keys, queries, ranks)
         records.append(
             BenchRecord(
                 dataset=label,
                 n=keys.n,
                 k=k,
                 mean_error=mean_error,
-                bound=bound,
+                bound=bound(keys.n, k, lo, hi),
                 mean_comparisons=float(np.mean(counts)),
                 p50_comparisons=float(np.percentile(counts, 50)),
                 p99_comparisons=float(np.percentile(counts, 99)),
                 space_bytes=measure_space(idx),
                 build_ms=build_ms,
                 query_ns=query_ns,
-                rho=rho_keys.value,
+                rho=rho,
                 seed=cfg.seed,
             )
         )

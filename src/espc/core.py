@@ -107,5 +107,23 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
     return int(np.count_nonzero(A.keys <= q))
 
 
+def exact_ranks(A: KeyArray, queries) -> np.ndarray:
+    """:func:`rank_bruteforce` of many queries at once, by binary search.
+
+    Float queries on integer keys follow the oracle's rule (clamp, floor,
+    compare as uint64), where numpy alone would compare in float64.
+    """
+    q = np.asarray(queries)
+    if A.mode != INT_MODE or q.dtype.kind != "f":
+        return np.searchsorted(A.keys, q, side="right")
+    below = ~(q >= 0)  # NaN counts as below
+    above = q >= 2.0**64
+    inside = np.floor(np.where(below | above, 0.0, q)).astype(np.uint64)
+    ranks = np.searchsorted(A.keys, inside, side="right")
+    ranks[below] = 0
+    ranks[above] = A.n
+    return ranks
+
+
 def _is_sorted(arr: np.ndarray) -> bool:
     return bool(np.all(arr[:-1] <= arr[1:]))

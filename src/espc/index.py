@@ -126,19 +126,22 @@ def predict(idx: EspcIndex, q) -> float:
 
 
 def predict_many(idx: EspcIndex, values) -> np.ndarray:
-    """Vectorized :func:`predict` over an array of query values."""
+    """Vectorized :func:`predict` over an array of query values.
+
+    Raises:
+        OutOfRange: a value is NaN.
+    """
     v = np.asarray(values, dtype=np.float64)
-    out = np.empty(v.shape, dtype=np.float64)
-    below = v < idx.x_first
-    above = v > idx.x_last
-    inside = ~(below | above)
-    out[below] = 0.0
-    out[above] = float(idx.n)
+    if np.isnan(v).any():
+        raise OutOfRange("NaN query has no rank")
     if idx.delta == 0.0:
-        out[inside] = idx.r[0]
+        out = np.full(v.shape, idx.r[0])
     else:
-        ks = assign_intervals(v[inside], idx.x_first, idx.delta, idx.K)
-        out[inside] = idx.r[ks - 1]
+        with np.errstate(over="ignore"):  # values far outside clamp to the end intervals
+            ks = assign_intervals(v, idx.x_first, idx.delta, idx.K)
+        out = np.asarray(idx.r[ks - 1])  # a 0-d index gives a scalar
+    out[v < idx.x_first] = 0.0
+    out[v > idx.x_last] = float(idx.n)
     return out
 
 
@@ -166,6 +169,8 @@ def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_o
     ``start_of(index, q)`` returns the start and the comparisons it cost.
     ``x_first``/``x_last`` are the built key range as floats (None: unchecked).
     """
+    if isinstance(q, np.floating):
+        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     keys = A.keys
     n, lo, hi = len(keys), keys.item(0), keys.item(-1)
     if index.n != n:
@@ -318,7 +323,8 @@ def deserialize_index(blob: bytes) -> EspcIndex:
     """Inverse of :func:`serialize_index`.
 
     Raises:
-        InvalidIndexFile: bad magic or length inconsistent with K.
+        InvalidIndexFile: bad magic, length inconsistent with K, or a header
+            or slot that :func:`build_espc` cannot produce.
     """
     if len(blob) < HEADER_BYTES or blob[: len(MAGIC)] != MAGIC:
         raise InvalidIndexFile("not a serialized index (bad magic)")
@@ -328,7 +334,14 @@ def deserialize_index(blob: bytes) -> EspcIndex:
         raise InvalidIndexFile(
             f"expected {HEADER_BYTES + SLOT_BYTES * k} bytes for K={k}, got {len(blob)}"
         )
+    if not (k >= 1 and n >= 1 and -math.inf < x_first <= x_last < math.inf):
+        raise InvalidIndexFile(f"bad header: n={n}, K={k}, range [{x_first}, {x_last}]")
+    if not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
+        raise InvalidIndexFile(f"interval length {delta} does not split the range into K={k}")
     r = np.frombuffer(blob, dtype="<f8", count=k, offset=HEADER_BYTES).copy()
+    # Non-decreasing from r[0] >= 0 up to r[-1] <= n also rules out NaN and infinities.
+    if not (r[0] >= 0.0 and r[-1] <= n and np.all(r[:-1] <= r[1:])):
+        raise InvalidIndexFile(f"slots are not non-decreasing within [0, {n}]")
     r.setflags(write=False)
     return EspcIndex(K=int(k), delta=delta, x_first=x_first, x_last=x_last, n=int(n), r=r)
 

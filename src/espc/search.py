@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import KeyArray, Rank
 from .errors import StartOutOfRange
 
@@ -27,6 +29,8 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
 
     Costs at most ceil(log2(n + 1)) key comparisons.
     """
+    if isinstance(q, np.floating):
+        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     return _bisect(A.keys, 0, A.n, q, 0)
 
 
@@ -45,6 +49,8 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     n = A.n
     if not 0 <= i <= n:
         raise StartOutOfRange(f"start {i} outside [0, {n}]")
+    if isinstance(q, np.floating):
+        q = float(q)
     keys = A.keys
     comparisons = 0
 

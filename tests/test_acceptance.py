@@ -23,7 +23,7 @@ from espc.bench import (
     prepare_keys,
     run_error_experiment,
 )
-from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
+from espc.core import FLOAT_MODE, INT_MODE, exact_ranks, rank_bruteforce, validate_key_array
 from espc.data import DatasetSpec, generate, rescale_unit, read_sosd, subsample
 from espc.index import (
     HEADER_BYTES,
@@ -90,10 +90,11 @@ def size_sweep():
         keys = rescale_unit(generate(DatasetSpec("uniform", n=n, seed=200 + len(str(n)))))
         rng = np.random.default_rng(7)
         queries = keys.keys[rng.integers(0, n, QUERIES)]
-        counts, _ = measure_comparisons(build_espc(keys, n), keys, queries)
+        ranks = exact_ranks(keys, queries)
+        counts, _ = measure_comparisons(build_espc(keys, n), keys, queries, ranks)
         by_linear[n] = float(np.mean(counts))
         k = math.ceil(n / math.log2(n))
-        counts, _ = measure_comparisons(build_espc(keys, k), keys, queries)
+        counts, _ = measure_comparisons(build_espc(keys, k), keys, queries, ranks)
         by_sublinear[n] = float(np.mean(counts))
     return by_linear, by_sublinear, time.perf_counter() - t0
 
@@ -383,12 +384,12 @@ def test_criterion_11_two_layer_matches_flat_at_equal_space():
         keys = rescale_unit(generate(DatasetSpec(kind, n=200_000, seed=seed)))
         rng = np.random.default_rng(seed)
         queries = keys.keys[rng.integers(0, keys.n, 20_000)]
+        ranks = exact_ranks(keys, queries)
         flat = build_espc(keys, k_flat)
-        flat_err = measure_errors(flat, keys, queries)
+        flat_err = measure_errors(flat, queries, ranks)
         hier = build_equal_probability(keys, k_buckets, k_top)
         buckets = np.searchsorted(hier.boundaries.keys, queries, side="right")
         estimates = (buckets - 0.5) * keys.n / hier.K
-        ranks = np.searchsorted(keys.keys, queries, side="right")
         hier_err = float(np.mean(np.abs(ranks - estimates)))
         results[kind] = hier_err / flat_err
         if hier_err > 1.5 * flat_err:

@@ -10,14 +10,17 @@ from espc.bench import (
     BenchConfig,
     BenchRecord,
     bound_violations,
+    draw_queries,
     emit_csv,
     measure_errors,
     measure_space,
+    prepare_keys,
     run_error_experiment,
 )
-from espc.data import DatasetSpec, generate
+from espc.core import INT_MODE, rank_bruteforce, validate_key_array
+from espc.data import DatasetSpec, generate, write_sosd
 from espc.errors import InvalidParams
-from espc.index import build_espc
+from espc.index import build_espc, predict_many
 
 
 def _small_cfg(**overrides):
@@ -69,7 +72,7 @@ class TestRunErrorExperiment:
         keys = generate(DatasetSpec("uniform", n=10_000, seed=13))
         idx = build_espc(keys, 64)
         low = np.full(100, keys.x_min - 1.0)
-        assert measure_errors(idx, keys, low) == 0.0
+        assert measure_errors(idx, low, np.zeros(100, dtype=np.int64)) == 0.0
 
     def test_space_exactly_affine_across_grid(self):
         records = run_error_experiment(_small_cfg(k_grid=(100, 200, 400)))
@@ -88,6 +91,28 @@ class TestRunErrorExperiment:
         cfg = _small_cfg(query_dist=DatasetSpec("beta22"))
         records = run_error_experiment(cfg)
         assert bound_violations(records) == []
+
+    def test_query_distribution_needs_four_queries_for_rho(self):
+        with pytest.raises(InvalidParams):
+            run_error_experiment(_small_cfg(query_dist=DatasetSpec("beta22"), queries=2))
+
+    def test_float_queries_on_uint64_keys_match_oracle(self, tmp_path):
+        path = tmp_path / "dense.sosd"
+        write_sosd(path, validate_key_array(2**60 + np.arange(2_000, dtype=np.uint64), INT_MODE))
+        cfg = _small_cfg(
+            dataset=DatasetSpec("file", params={"path": str(path), "mode": INT_MODE}),
+            n_sub=0,
+            k_grid=(10, 100),
+            queries=300,
+            query_dist=DatasetSpec("normal", params={"mu": 2**60 + 1e3, "sigma": 300.0}),
+            rescale=False,
+        )
+        keys = prepare_keys(cfg)
+        queries = draw_queries(cfg, keys)
+        ranks = np.array([rank_bruteforce(keys, q) for q in queries])
+        for rec in run_error_experiment(cfg):
+            predictions = predict_many(build_espc(keys, rec.k), queries)
+            assert rec.mean_error == float(np.mean(np.abs(ranks - predictions)))
 
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidParams):

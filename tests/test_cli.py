@@ -1,12 +1,14 @@
 """Command-line behaviour: verbs, exit codes, reproducibility."""
 
 import json
+import struct
 
 import pytest
 
 from espc.cli import dispatch
 from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
 from espc.data import read_sosd, write_sosd
+from espc.index import HEADER_BYTES, SLOT_BYTES
 
 
 @pytest.fixture
@@ -210,4 +212,16 @@ class TestUsage:
         assert dispatch(["build", *float_args, "--k", "2", "--out", idx_path]) == 0
         code, _, err = _run(capsys, ["query", "--index", idx_path, *float_args, "--q", "nan"])
         assert code == 1
+        assert err.startswith("error:")
+
+    def test_corrupt_index_exits_three(self, tmp_path, capsys, int_file):
+        idx_path = tmp_path / "keys.espc"
+        assert dispatch(["build", "--data", int_file, "--k", "2", "--out", str(idx_path)]) == 0
+        blob = bytearray(idx_path.read_bytes())
+        blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<d", 1e9)
+        idx_path.write_bytes(bytes(blob))
+        code, _, err = _run(
+            capsys, ["query", "--index", str(idx_path), "--data", int_file, "--q", "5"]
+        )
+        assert code == 3
         assert err.startswith("error:")

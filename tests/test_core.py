@@ -8,6 +8,7 @@ import pytest
 from espc.core import (
     FLOAT_MODE,
     INT_MODE,
+    exact_ranks,
     rank_bruteforce,
     validate_key_array,
 )
@@ -94,6 +95,8 @@ class TestRankBruteforce:
         assert rank_bruteforce(A, -math.inf) == 0
         assert rank_bruteforce(A, -0.5) == 0
         assert rank_bruteforce(A, math.nan) == 0
+        floats = [2.0**60, 2.0**64, math.inf, -math.inf, -0.5, math.nan]
+        assert exact_ranks(A, floats).tolist() == [1, 3, 3, 0, 0, 0]
 
     def test_bounds_and_monotonicity(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Construction, prediction, exact lookup, sizing, and serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -137,10 +138,11 @@ class TestLocateAndPredict:
         rng = np.random.default_rng(24)
         A = validate_key_array(rng.random(100), FLOAT_MODE)
         idx = build_espc(A, 7)
-        grid = np.linspace(-0.1, 1.1, 200)
+        grid = np.concatenate((np.linspace(-0.1, 1.1, 200), [-math.inf, -1e308, 1e308, math.inf]))
         np.testing.assert_array_equal(
             predict_many(idx, grid), [predict(idx, float(q)) for q in grid]
         )
+        assert predict_many(idx, 0.5) == predict(idx, 0.5)
 
 
 class TestEvaluateRank:
@@ -167,6 +169,8 @@ class TestEvaluateRank:
             evaluate_rank(build_espc(A, 2), A, math.nan)
         with pytest.raises(OutOfRange):
             evaluate_rank_hier(build_equal_probability(A, 2, 1), A, math.nan)
+        with pytest.raises(OutOfRange):
+            predict_many(build_espc(A, 2), [1.0, math.nan])
 
     def test_exactness_random_with_boundary_adversaries(self):
         rng = np.random.default_rng(25)
@@ -334,3 +338,9 @@ class TestSerialization:
         idx = build_espc(_four_keys(), 2)
         with pytest.raises(InvalidIndexFile):
             deserialize_index(serialize_index(idx)[:-1])
+
+    def test_rejects_slot_out_of_range(self):
+        blob = bytearray(serialize_index(build_espc(_four_keys(), 2)))
+        blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<d", 1e9)
+        with pytest.raises(InvalidIndexFile):
+            deserialize_index(bytes(blob))

@@ -2,16 +2,26 @@
 
 Key sets cover unsigned integers near 2^64, heavy duplicates, all-equal
 keys and finite floats of any magnitude; queries are keys, neighbours of
-keys and arbitrary values on both sides of the key range.
+keys and arbitrary values on both sides of the key range, as Python or as
+numpy scalars.  Serialized indexes round-trip, and a corrupted one is
+rejected at load, or it no longer matches the keys, or it gives exact ranks.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
-from espc.errors import InvalidK
-from espc.index import build_equal_probability, build_espc, evaluate_rank, evaluate_rank_hier
+from espc.errors import IndexMismatch, InvalidIndexFile, InvalidK
+from espc.index import (
+    build_equal_probability,
+    build_espc,
+    deserialize_index,
+    evaluate_rank,
+    evaluate_rank_hier,
+    serialize_index,
+)
 from espc.search import binary_search_rank, exponential_search
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -51,7 +61,18 @@ def arrays_and_queries(draw):
         near = [math.nextafter(k, d) for k in keys[:10] for d in (-math.inf, math.inf)]
         free = _FINITE
     pool = st.one_of(st.sampled_from(keys + near), free)
-    return A, draw(st.lists(pool, min_size=1, max_size=20))
+    queries = draw(st.lists(pool, min_size=1, max_size=20))
+    if draw(st.booleans()):  # as iterating a numpy query array yields them
+        queries = [_numpy_scalar(q) for q in queries]
+    return A, queries
+
+
+def _numpy_scalar(q):
+    if isinstance(q, float):
+        return np.float64(q)
+    if -(2**63) <= q < 2**63:
+        return np.int64(q)
+    return np.uint64(q) if 0 <= q <= _U64_MAX else q
 
 
 def _buildable(build, *args):
@@ -94,3 +115,31 @@ def test_searches_match_oracle_from_every_start(data):
             assert out.rank == rank
             assert out.comparisons <= 2 * math.ceil(math.log2(abs(rank - i) + 2)) + 4
 
+
+
+@given(key_arrays, st.integers(1, 80))
+def test_serialization_round_trips(A, k):
+    idx = _buildable(build_espc, A, k)
+    if idx is not None:
+        blob = serialize_index(idx)
+        assert serialize_index(deserialize_index(blob)) == blob
+
+
+@given(arrays_and_queries(), st.integers(1, 80), st.data())
+def test_corrupt_blob_is_rejected_or_still_exact(data, k, more):
+    A, queries = data
+    idx = _buildable(build_espc, A, k)
+    if idx is None:
+        return
+    blob = bytearray(serialize_index(idx))
+    blob[more.draw(st.integers(0, len(blob) - 1))] ^= more.draw(st.integers(1, 255))
+    try:
+        loaded = deserialize_index(bytes(blob))
+    except InvalidIndexFile:
+        return
+    for q in queries:
+        try:
+            rank = evaluate_rank(loaded, A, q).rank
+        except IndexMismatch:  # a changed n or key range
+            continue
+        assert rank == rank_bruteforce(A, q)
