@@ -53,8 +53,9 @@ class BenchConfig:
             raise InvalidParams("k_grid must not be empty")
         if list(self.k_grid) != sorted(self.k_grid):
             raise InvalidParams("k_grid must be ascending")
-        if self.queries < 1:
-            raise InvalidParams(f"need at least one query, got {self.queries}")
+        least = 1 if self.query_dist is None else 4  # rho_queries is fitted to the queries
+        if self.queries < least:
+            raise InvalidParams(f"need {least}+ queries (4 with a query_dist), got {self.queries}")
 
     def paper_scale(self) -> "BenchConfig":
         """Full-scale variant: n=1e7 subsample, Q=3e7, the six-point K grid."""

@@ -136,18 +136,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=SYNTHETIC_KINDS, default=None)
     p.add_argument("--data", default=None, help="key file instead of a synthetic kind")
     p.add_argument("--mode", choices=MODES, default=INT_MODE)
-    p.add_argument("--n", type=int, default=None, help="synthetic draw count")
+    p.add_argument("--n", type=int, default=1_000_000, help="synthetic draw count")
     p.add_argument("--n-sub", type=int, default=None)
-    p.add_argument("--k-grid", default=None, help="comma-separated interval counts")
+    p.add_argument("--k-grid", type=_int_tuple, help="comma-separated interval counts")
     p.add_argument("--queries", type=int, default=None)
     p.add_argument("--query-kind", choices=SYNTHETIC_KINDS, default=None)
     p.add_argument("--rho-draws", type=int, default=None)
     p.add_argument("--rho-method", choices=(HISTOGRAM, KERNEL), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-rescale", action="store_true")
+    p.add_argument("--no-rescale", dest="rescale", action="store_false", default=None)
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--check", action="store_true", help="exit 2 if any bound is violated")
-    p.add_argument("--out", default=None, help="CSV path")
+    p.add_argument("--out", dest="output", default=None, help="CSV path")
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -257,51 +257,53 @@ def _cmd_bench(args) -> int:
 
 def _bench_config(args) -> bench_mod.BenchConfig:
     # Precedence: built-in defaults < JSON config < explicit flags.
-    raw: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-
-    dataset = _dataset_from(args, raw.get("dataset"))
-    merged = {
-        "dataset": dataset,
-        "n_sub": _pick(args.n_sub, raw.get("n_sub")),
-        "k_grid": _pick(
-            tuple(int(x) for x in args.k_grid.split(",")) if args.k_grid else None,
-            tuple(raw["k_grid"]) if "k_grid" in raw else None,
-        ),
-        "queries": _pick(args.queries, raw.get("queries")),
-        "rho_draws": _pick(args.rho_draws, raw.get("rho_draws")),
-        "rho_method": _pick(args.rho_method, raw.get("rho_method")),
-        "seed": _pick(args.seed, raw.get("seed")),
-        "rescale": _pick(False if args.no_rescale else None, raw.get("rescale")),
-        "output": _pick(args.out, raw.get("output")),
-    }
+    merged = _read_config(args.config) if args.config else {}
+    merged["dataset"] = _dataset_from(args, merged.get("dataset"))
     if args.query_kind is not None:
         merged["query_dist"] = DatasetSpec(kind=args.query_kind)
-    elif "query_dist" in raw and raw["query_dist"]:
-        merged["query_dist"] = _spec_from_dict(raw["query_dist"])
-    cfg = bench_mod.BenchConfig(
-        **{key: val for key, val in merged.items() if val is not None}
-    )
-    if args.paper_scale:
-        cfg = cfg.paper_scale()
-    return cfg
+    flags = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
+    merged.update({key: val for key, val in flags.items() if val is not None})
+    cfg = bench_mod.BenchConfig(**merged)
+    return cfg.paper_scale() if args.paper_scale else cfg
 
 
-def _dataset_from(args, raw_dataset) -> DatasetSpec:
+def _read_config(path) -> dict:
+    """BenchConfig keywords from a JSON object; null and {} count as absent."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("expected a JSON object")
+            return {
+                key: convert(raw[key])
+                for key, convert in _CONFIG_FIELDS.items()
+                if raw.get(key) not in (None, {})
+            }
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise _UsageError(f"--config {path}: {exc}") from exc
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    """Interval counts from "10,100" (the --k-grid flag) or a JSON list."""
+    try:
+        return tuple(int(k) for k in (value.split(",") if isinstance(value, str) else value))
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"k_grid {value!r} is not a list of integers") from exc
+
+
+def _dataset_from(args, config_dataset) -> DatasetSpec:
     if args.data is not None:
         return DatasetSpec(kind="file", params={"path": args.data, "mode": args.mode})
     if args.kind is not None:
-        n = args.n if args.n is not None else 1_000_000
-        seed = args.seed if args.seed is not None else 0
-        return DatasetSpec(kind=args.kind, n=n, seed=seed)
-    if raw_dataset:
-        return _spec_from_dict(raw_dataset)
+        return DatasetSpec(kind=args.kind, n=args.n, seed=args.seed or 0)
+    if config_dataset:
+        return config_dataset
     raise _UsageError("bench needs --kind, --data, or a config with a dataset entry")
 
 
-def _spec_from_dict(entry: dict) -> DatasetSpec:
+def _spec_from_dict(entry) -> DatasetSpec:
+    if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
+        raise ValueError(f"dataset entry {entry!r} is not a JSON object with object params")
     return DatasetSpec(
         kind=entry.get("kind", "uniform"),
         n=int(entry.get("n", 1_000_000)),
@@ -310,8 +312,13 @@ def _spec_from_dict(entry: dict) -> DatasetSpec:
     )
 
 
-def _pick(flag_value, config_value):
-    return flag_value if flag_value is not None else config_value
+# How each config entry becomes a BenchConfig value; other entries are ignored.  The bench
+# flags that override an entry carry its name (dataset and query_dist have their own).
+_CONFIG_FIELDS = {
+    "dataset": _spec_from_dict, "n_sub": int, "k_grid": _int_tuple, "queries": int,
+    "query_dist": _spec_from_dict, "rho_draws": int, "rho_method": str, "seed": int,
+    "rescale": bool, "output": str,
+}
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -94,12 +95,15 @@ def read_sosd(path, mode: str = INT_MODE) -> KeyArray:
     warning.
 
     Raises:
-        TruncatedFile: size differs from 8 + 8n.
+        TruncatedFile: size differs from 8 + 8n, or a ``.gz`` stream is damaged.
         CountMismatch: header count is zero.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as fh:
-        blob = fh.read()
+        try:
+            blob = fh.read()
+        except (EOFError, zlib.error) as exc:  # gzip stream cut off or damaged
+            raise TruncatedFile(f"{path}: compressed stream ends early or is corrupt") from exc
     if len(blob) < 8:
         raise TruncatedFile(f"{path}: too short for a count header")
     (n,) = struct.unpack_from("<Q", blob)

@@ -41,9 +41,6 @@ class PartitionProfile:
     ``p`` sums to 1 (within 1e-9) with non-negative entries.
     """
 
-    a: float
-    b: float
-    K: int
     p: np.ndarray
 
     @property
@@ -74,7 +71,7 @@ def partition_probabilities(A: KeyArray, a: float, b: float, k: int) -> Partitio
     cells = assign_intervals(A.keys, a, (b - a) / k, k)
     p = np.bincount(cells, minlength=k + 1)[1:] / A.n
     p.setflags(write=False)
-    return PartitionProfile(a=float(a), b=float(b), K=k, p=p)
+    return PartitionProfile(p=p)
 
 
 def renyi_entropy_2(profile: PartitionProfile, base: float | None = None) -> float:
@@ -172,45 +169,45 @@ def fd_bin_width(A: KeyArray) -> float:
 class DensityEstimate:
     """Evaluable density estimate over [a, b]; integrates to ~1.
 
-    ``histogram`` kind stores bin edges and heights; ``kernel`` kind
-    stores a precomputed grid that evaluation interpolates on.  Calling
-    the instance evaluates the density (vectorized, >= 0 everywhere, 0
-    outside [a, b]).
+    ``heights`` sit on an equal-spaced grid over [a, b]: one per bin of a
+    ``histogram`` step function, or the ``kernel`` values at
+    ``np.linspace(a, b, len(heights))``, interpolated.  Calling the instance
+    evaluates the density (vectorized, >= 0 everywhere, 0 outside [a, b]).
     """
 
     kind: str
     a: float
     b: float
-    edges: np.ndarray | None = None
-    heights: np.ndarray | None = None
-    grid_x: np.ndarray | None = None
-    grid_y: np.ndarray | None = None
+    heights: np.ndarray
 
     def __call__(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.float64)
         if self.kind == HISTOGRAM:
-            width = self.edges[1] - self.edges[0] if len(self.edges) > 1 else 1.0
-            nbins = len(self.heights)
-            idx = np.clip(
-                np.floor((v - self.edges[0]) / width).astype(np.int64), 0, nbins - 1
-            )
-            out = self.heights[idx]
+            out = self.heights[_histogram_bins(v, self.a, self.b, len(self.heights))]
             return np.where((v >= self.a) & (v <= self.b), out, 0.0)
-        return np.interp(v, self.grid_x, self.grid_y, left=0.0, right=0.0)
+        return np.interp(v, self._grid(), self.heights, left=0.0, right=0.0)
 
     def integral(self) -> float:
         """Numerical mass of the estimate (exact sum for histograms)."""
         if self.kind == HISTOGRAM:
-            width = self.edges[1] - self.edges[0] if len(self.edges) > 1 else self.b - self.a
-            return float(np.sum(self.heights) * width)
-        return float(np.trapezoid(self.grid_y, self.grid_x))
+            return float(np.sum(self.heights) * (self.b - self.a) / len(self.heights))
+        return float(np.trapezoid(self.heights, self._grid()))
+
+    def _grid(self) -> np.ndarray:
+        return np.linspace(self.a, self.b, len(self.heights))
+
+
+def _histogram_bins(v: np.ndarray, a: float, b: float, nbins: int) -> np.ndarray:
+    """Bin of each value among ``nbins`` equal bins of [a, b]: floor, clamped."""
+    width = (b - a) / nbins
+    return np.clip(np.floor((v - a) / width).astype(np.int64), 0, nbins - 1)
 
 
 def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
-    """Histogram density over [x_min, x_max] with the given bin width.
+    """Histogram density over [x_min, x_max] with bins about ``width`` wide.
 
-    The last bin is padded past x_max so every key lands in a bin;
-    heights are count/(n*width), making the total mass exactly 1.
+    The last bin is padded past x_max so every key lands in a bin; heights
+    are count/(n*(b - a)/nbins), making the total mass 1.
 
     Raises:
         InvalidWidth: width <= 0 or not finite.
@@ -218,18 +215,15 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     if not (width > 0.0 and math.isfinite(width)):
         raise InvalidWidth(f"bin width must be positive and finite, got {width}")
     vals = A.keys.astype(np.float64, copy=False)
-    lo = float(vals[0])
-    span = float(vals[-1]) - lo
-    nbins = max(1, math.ceil(span / width))
-    edges = lo + width * np.arange(nbins + 1, dtype=np.float64)
-    idx = np.clip(np.floor((vals - lo) / width).astype(np.int64), 0, nbins - 1)
-    counts = np.bincount(idx, minlength=nbins)
-    heights = counts / (A.n * width)
+    lo, hi = float(vals[0]), float(vals[-1])
+    nbins = max(1, math.ceil((hi - lo) / width))
+    # Rounding can leave lo + nbins*width below x_max, or at lo for a width under the
+    # keys' resolution; widen b so every key falls in a bin of positive width.
+    b = max(lo + width * nbins, hi, math.nextafter(lo, math.inf))
+    counts = np.bincount(_histogram_bins(vals, lo, b, nbins), minlength=nbins)
+    heights = counts / (A.n * ((b - lo) / nbins))
     heights.setflags(write=False)
-    edges.setflags(write=False)
-    return DensityEstimate(
-        kind=HISTOGRAM, a=lo, b=float(edges[-1]), edges=edges, heights=heights
-    )
+    return DensityEstimate(kind=HISTOGRAM, a=lo, b=b, heights=heights)
 
 
 def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
@@ -266,16 +260,9 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2) / (
         bandwidth * math.sqrt(2.0 * math.pi)
     )
-    grid_y = np.convolve(mass, kernel, mode="same")
-    grid_y.setflags(write=False)
-    grid_x.setflags(write=False)
-    return DensityEstimate(
-        kind=KERNEL,
-        a=lo,
-        b=hi,
-        grid_x=grid_x,
-        grid_y=grid_y,
-    )
+    heights = np.convolve(mass, kernel, mode="same")
+    heights.setflags(write=False)
+    return DensityEstimate(kind=KERNEL, a=lo, b=hi, heights=heights)
 
 
 # --- Monte-Carlo estimate of the density norm -------------------------------

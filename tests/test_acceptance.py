@@ -297,7 +297,7 @@ def test_criterion_8_entropy_properties(grid_runs):
     rng = np.random.default_rng(404)
     exact_ok = True
     for k in (2, 4, 16, 1000):
-        uniform = PartitionProfile(a=0.0, b=1.0, K=k, p=np.full(k, 1.0 / k))
+        uniform = PartitionProfile(p=np.full(k, 1.0 / k))
         if abs(renyi_entropy_2(uniform) - math.log(k)) > 1e-12:
             exact_ok = False
     dominated_ok = True
@@ -305,7 +305,7 @@ def test_criterion_8_entropy_properties(grid_runs):
         k = int(rng.integers(2, 64))
         p = rng.random(k)
         p /= p.sum()
-        prof = PartitionProfile(a=0.0, b=1.0, K=k, p=p)
+        prof = PartitionProfile(p=p)
         if renyi_entropy_2(prof) > math.log(k) + 1e-12:
             dominated_ok = False
 

@@ -21,6 +21,7 @@ from espc.core import INT_MODE, rank_bruteforce, validate_key_array
 from espc.data import DatasetSpec, generate, write_sosd
 from espc.errors import InvalidParams
 from espc.index import build_espc, predict_many
+from espc.stats import HISTOGRAM, KERNEL
 
 
 def _small_cfg(**overrides):
@@ -92,9 +93,11 @@ class TestRunErrorExperiment:
         records = run_error_experiment(cfg)
         assert bound_violations(records) == []
 
-    def test_query_distribution_needs_four_queries_for_rho(self):
+    @pytest.mark.parametrize("method", [HISTOGRAM, KERNEL])
+    def test_query_distribution_needs_four_queries_for_rho(self, method):
         with pytest.raises(InvalidParams):
-            run_error_experiment(_small_cfg(query_dist=DatasetSpec("beta22"), queries=2))
+            _small_cfg(query_dist=DatasetSpec("beta22"), queries=3, rho_method=method)
+        _small_cfg(query_dist=DatasetSpec("beta22"), queries=4, rho_method=method)
 
     def test_float_queries_on_uint64_keys_match_oracle(self, tmp_path):
         path = tmp_path / "dense.sosd"

@@ -225,3 +225,50 @@ class TestUsage:
         )
         assert code == 3
         assert err.startswith("error:")
+
+
+def _bad_config(text):
+    def argv(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return ["bench", "--config", str(path)], str(path)
+
+    return argv
+
+
+def _text_k_grid_flag(tmp_path):
+    argv = ["bench", "--kind", "uniform", "--n", "1000", "--k-grid", "10,abc", "--queries", "10"]
+    return argv, "--k-grid"
+
+
+def _truncated_gz(tmp_path):
+    path = tmp_path / "keys.sosd.gz"
+    write_sosd(path, validate_key_array(list(range(1_000)), INT_MODE))
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+    return ["build", "--data", str(path), "--k", "4", "--out", str(tmp_path / "x.espc")], str(path)
+
+
+_UNIFORM = {"kind": "uniform", "n": 1_000}
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _text_k_grid_flag,
+        _bad_config("{not json"),
+        _bad_config('["list"]'),
+        _bad_config(json.dumps({"dataset": {"kind": "uniform", "n": "x"}})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "k_grid": "abc", "queries": 10})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "n_sub": "x", "queries": 10})),
+        _truncated_gz,
+    ],
+    ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
+         "truncated_gz"],
+)
+def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
+    argv, culprit = make_argv(tmp_path)
+    code, _, err = _run(capsys, argv)
+    assert code in (1, 3)
+    assert err.startswith("error:")
+    assert culprit in err.splitlines()[0]

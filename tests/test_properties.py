@@ -5,9 +5,11 @@ keys and finite floats of any magnitude; queries are keys, neighbours of
 keys and arbitrary values on both sides of the key range, as Python or as
 numpy scalars.  Serialized indexes round-trip, and a corrupted one is
 rejected at load, or it no longer matches the keys, or it gives exact ranks.
+A histogram density is positive at every key it was fitted to.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +25,10 @@ from espc.index import (
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search
+from espc.stats import histogram_density
 
 hypothesis = pytest.importorskip("hypothesis")
-given, st = hypothesis.given, hypothesis.strategies
+given, example, st = hypothesis.given, hypothesis.example, hypothesis.strategies
 
 _U64_MAX = 2**64 - 1
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -143,3 +146,34 @@ def test_corrupt_blob_is_rejected_or_still_exact(data, k, more):
         except IndexMismatch:  # a changed n or key range
             continue
         assert rank == rank_bruteforce(A, q)
+
+
+@st.composite
+def keys_and_bin_widths(draw):
+    """Finite float keys at any offset, and a bin width giving at most ~10^4 bins.
+
+    Widths start at the smallest normal float: a subnormal width makes the
+    heights count/(n*width) overflow.
+    """
+    offset = draw(_FINITE)
+    width = draw(st.floats(min_value=sys.float_info.min, max_value=1e300))
+    fracs = draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=60))
+    keys = [offset + width * f for f in fracs]
+    hypothesis.assume(all(math.isfinite(key) for key in keys))
+    A = validate_key_array(keys, FLOAT_MODE)
+    hypothesis.assume(float(A.keys[-1]) - float(A.keys[0]) <= 1e4 * width)
+    return A, width
+
+
+@example(
+    (
+        validate_key_array(
+            [7345771.779514994, 7345782.017973739, 7345782.586777002], FLOAT_MODE
+        ),
+        1.1376065271941127,
+    )
+)
+@given(keys_and_bin_widths())
+def test_histogram_density_is_positive_at_every_key(case):
+    A, width = case
+    assert np.all(histogram_density(A, width)(A.keys) > 0)

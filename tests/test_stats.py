@@ -31,9 +31,8 @@ from espc.stats import (
 )
 
 
-def _profile(p, a=0.0, b=1.0):
-    arr = np.asarray(p, dtype=np.float64)
-    return PartitionProfile(a=a, b=b, K=len(arr), p=arr)
+def _profile(p):
+    return PartitionProfile(p=np.asarray(p, dtype=np.float64))
 
 
 class TestPartitionProbabilities:
@@ -191,6 +190,15 @@ class TestHistogramDensity:
         A = validate_key_array([0.0, 1.0], FLOAT_MODE)
         with pytest.raises(InvalidWidth):
             histogram_density(A, 0.0)
+
+    def test_keys_read_from_the_bin_they_were_counted_in(self):
+        # Far from zero, fitting and reading must agree on each key's bin.
+        A = validate_key_array(
+            [7345771.779514994, 7345782.017973739, 7345782.586777002], FLOAT_MODE
+        )
+        dens = histogram_density(A, 1.1376065271941127)
+        assert np.all(dens(A.keys) > 0)
+        assert dens.integral() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestKernelDensity:
