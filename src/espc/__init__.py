@@ -42,6 +42,7 @@ from .index import (
     deserialize_index,
     evaluate_rank,
     evaluate_rank_hier,
+    evaluate_rank_many,
     load_index,
     locate_interval,
     predict,
@@ -49,7 +50,7 @@ from .index import (
     save_index,
     serialize_index,
 )
-from .search import SearchOutcome, binary_search_rank, exponential_search
+from .search import SearchOutcome, binary_search_rank, exponential_search, exponential_search_many
 from .stats import (
     DensityEstimate,
     PartitionProfile,

@@ -20,11 +20,13 @@ import numpy as np
 from .core import FLOAT_MODE, KeyArray, exact_ranks, validate_key_array
 from .data import DatasetSpec, FILE, generate, rescale_unit, subsample
 from .errors import InvalidParams
-from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, build_espc, evaluate_rank, predict_many
+from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, build_espc, evaluate_rank_many, predict_many
 from .stats import HISTOGRAM, error_bound_query_dist, error_bound_rho, estimate_rho
 
 DEFAULT_K_GRID = (100, 1_000, 10_000, 100_000)
 PAPER_K_GRID = (1_000, 5_000, 10_000, 50_000, 100_000, 200_000)
+# Queries per batched lookup call: bounds the engine's temporaries at paper scale.
+QUERY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,8 @@ class BenchConfig:
         least = 1 if self.query_dist is None else 4  # rho_queries is fitted to the queries
         if self.queries < least:
             raise InvalidParams(f"need {least}+ queries (4 with a query_dist), got {self.queries}")
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
 
     def paper_scale(self) -> "BenchConfig":
         """Full-scale variant: n=1e7 subsample, Q=3e7, the six-point K grid."""
@@ -119,14 +123,18 @@ def measure_comparisons(
 ) -> tuple[np.ndarray, float]:
     """Comparison count per query plus wall time per lookup in ns.
 
-    Also cross-checks each corrected rank against the exact ``ranks``.
+    Looks the queries up in blocks of :data:`QUERY_BLOCK` with
+    :func:`espc.index.evaluate_rank_many` and cross-checks each corrected
+    rank against the exact ``ranks``.
     """
     counts = np.empty(len(queries), dtype=np.int64)
     start = time.perf_counter()
-    for j, q in enumerate(queries):
-        out = evaluate_rank(idx, keys, q)
-        counts[j] = out.comparisons
-        if out.rank != ranks[j]:
+    for lo in range(0, len(queries), QUERY_BLOCK):
+        block = slice(lo, lo + QUERY_BLOCK)
+        found, counts[block] = evaluate_rank_many(idx, keys, queries[block])
+        wrong = np.flatnonzero(found != ranks[block])
+        if wrong.size:
+            q = queries[lo + wrong[0]]
             raise AssertionError(f"lookup disagreed with the exact rank at q={q!r}")
     elapsed = time.perf_counter() - start
     return counts, elapsed * 1e9 / len(queries)

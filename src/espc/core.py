@@ -110,19 +110,42 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
 def exact_ranks(A: KeyArray, queries) -> np.ndarray:
     """:func:`rank_bruteforce` of many queries at once, by binary search.
 
-    Float queries on integer keys follow the oracle's rule (clamp, floor,
-    compare as uint64), where numpy alone would compare in float64.
+    Queries on integer keys follow the oracle's rule (:func:`int_key_queries`),
+    where numpy alone would compare in float64.
+    """
+    if A.mode != INT_MODE:
+        return np.searchsorted(A.keys, queries, side="right")
+    floors, below, _ = int_key_queries(queries)
+    ranks = np.searchsorted(A.keys, floors, side="right")
+    ranks[below] = 0
+    return ranks
+
+
+def int_key_queries(queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Many queries as uint64 values that compare exactly with integer keys.
+
+    An integer key is <= q exactly when it is <= floor(q), so each query is
+    floored and clamped: queries at or past 2^64 become 2^64 - 1, which every
+    key is <= (their ``inexact`` entry is set); NaN and negative queries, which
+    no key is <=, become 0 and are marked in ``below``.  ``inexact`` marks the
+    queries that exceed their returned value, so q > key exactly when
+    value > key, or value == key and inexact.
+
+    Returns:
+        (values, below, inexact): a uint64 array and two boolean masks.
     """
     q = np.asarray(queries)
-    if A.mode != INT_MODE or q.dtype.kind != "f":
-        return np.searchsorted(A.keys, q, side="right")
+    if q.dtype.kind in "iu":
+        below = q < 0
+        return np.where(below, 0, q).astype(np.uint64), below, np.zeros(q.shape, bool)
+    q = q.astype(np.float64, copy=False)
     below = ~(q >= 0)  # NaN counts as below
     above = q >= 2.0**64
-    inside = np.floor(np.where(below | above, 0.0, q)).astype(np.uint64)
-    ranks = np.searchsorted(A.keys, inside, side="right")
-    ranks[below] = 0
-    ranks[above] = A.n
-    return ranks
+    clamped = np.where(below | above, 0.0, q)
+    floors = np.floor(clamped)
+    values = floors.astype(np.uint64)
+    values[above] = _UINT64_MAX
+    return values, below, above | (floors < clamped)
 
 
 def _is_sorted(arr: np.ndarray) -> bool:

@@ -51,6 +51,10 @@ class DatasetSpec:
     params: Mapping[str, object] = field(default_factory=dict)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+
 
 def generate(spec: DatasetSpec) -> KeyArray:
     """Materialize a dataset: n seeded draws, sorted, duplicates kept.
@@ -76,8 +80,11 @@ def generate(spec: DatasetSpec) -> KeyArray:
     elif spec.kind == BETA22:
         draws = rng.beta(2.0, 2.0, spec.n)
     else:
-        mu = float(spec.params.get("mu", 0.0))
-        sigma = float(spec.params.get("sigma", 1.0 if spec.kind == NORMAL else 2.0))
+        try:
+            mu = float(spec.params.get("mu", 0.0))
+            sigma = float(spec.params.get("sigma", 1.0 if spec.kind == NORMAL else 2.0))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"mu and sigma must be numbers, got {dict(spec.params)}") from exc
         if sigma <= 0:
             raise InvalidParams(f"sigma must be positive, got {sigma}")
         if spec.kind == NORMAL:

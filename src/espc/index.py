@@ -8,6 +8,7 @@ is O(n + K); lookup cost is O(log error).
 
 The flat and two-layer indexes share one lookup path, :func:`_lookup`; they
 differ only in how they predict the start of the search.
+:func:`evaluate_rank_many` runs the flat lookup on many queries in lockstep.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray, rank_bruteforce
+from .core import INT_MODE, KeyArray, int_key_queries, rank_bruteforce
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
     InvalidK,
+    InvalidParams,
     InvalidPolicyParams,
     OutOfRange,
 )
-from .search import SearchOutcome, exponential_search
+from .search import SearchOutcome, exponential_search, exponential_search_many
 
 MAGIC = b"ESPC1"
 SLOT_BYTES = 8
@@ -184,6 +186,55 @@ def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_o
     start, cost = start_of(index, q)
     corrected = exponential_search(A, start, q)
     return SearchOutcome(rank=corrected.rank, comparisons=2 + cost + corrected.comparisons)
+
+
+def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`evaluate_rank` of many queries at once, with the same ranks and counts.
+
+    The result equals :func:`evaluate_rank` on each element of
+    ``np.asarray(qs)``.  Queries below the keys cost 1 comparison and those
+    above cost 2; the others start at ceil(estimate) of their interval and
+    run :func:`espc.search.exponential_search_many`.  On integer keys,
+    queries follow the oracle's rule (:func:`espc.core.int_key_queries`).
+
+    Returns:
+        (ranks, comparisons): two int64 arrays, one entry per query.
+
+    Raises:
+        IndexMismatch: index was built over an array of other length or key range.
+        OutOfRange: a query is NaN.
+        InvalidParams: the queries are not a numeric array.
+    """
+    keys = A.keys
+    n, lo, hi = len(keys), keys.item(0), keys.item(-1)
+    if idx.n != n:
+        raise IndexMismatch(f"index holds n={idx.n}, array has n={n}")
+    if float(lo) != idx.x_first or float(hi) != idx.x_last:
+        raise IndexMismatch(f"array keys [{lo}, {hi}] are not the keys the index was built over")
+    raw = np.asarray(qs)
+    if raw.dtype.kind not in "biuf":  # e.g. Python ints beyond 64 bits, which numpy keeps as objects
+        raise InvalidParams(f"queries must be a numeric array, got dtype {raw.dtype}")
+    if raw.dtype.kind == "f" and np.isnan(raw).any():
+        raise OutOfRange("NaN query has no rank")
+    if A.mode == INT_MODE:
+        q, below, inexact = int_key_queries(raw)
+        under = below | (q < lo)
+        over = ~under & ((q > hi) | ((q == hi) & inexact))  # hi + 0.5 floors to hi
+    else:
+        q = raw.astype(np.float64, copy=False)
+        under, over = q < lo, q > hi
+    ranks = np.where(over, n, 0)
+    comparisons = np.where(under, 1, 2)
+    inside = np.flatnonzero(~(under | over))
+    if inside.size:
+        if idx.delta == 0.0:
+            estimates = np.full(inside.size, idx.r[0])
+        else:  # locate with the query's own value, as the scalar lookup does
+            estimates = idx.r[assign_intervals(raw[inside], idx.x_first, idx.delta, idx.K) - 1]
+        found, cost = exponential_search_many(A, np.ceil(estimates), q[inside])
+        ranks[inside] = found
+        comparisons[inside] += cost
+    return ranks, comparisons
 
 
 def approximation_error(idx: EspcIndex, A: KeyArray, q) -> float:

@@ -210,7 +210,7 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     are count/(n*(b - a)/nbins), making the total mass 1.
 
     Raises:
-        InvalidWidth: width <= 0 or not finite.
+        InvalidWidth: width <= 0 or not finite, or so small that the heights overflow.
     """
     if not (width > 0.0 and math.isfinite(width)):
         raise InvalidWidth(f"bin width must be positive and finite, got {width}")
@@ -221,7 +221,10 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     # keys' resolution; widen b so every key falls in a bin of positive width.
     b = max(lo + width * nbins, hi, math.nextafter(lo, math.inf))
     counts = np.bincount(_histogram_bins(vals, lo, b, nbins), minlength=nbins)
-    heights = counts / (A.n * ((b - lo) / nbins))
+    norm = A.n * ((b - lo) / nbins)
+    if not math.isfinite(int(counts.max()) / norm):
+        raise InvalidWidth(f"bins {width} wide make the heights overflow")
+    heights = counts / norm
     heights.setflags(write=False)
     return DensityEstimate(kind=HISTOGRAM, a=lo, b=b, heights=heights)
 
@@ -297,10 +300,12 @@ def estimate_rho(
     kernel method uses :func:`kde_density`.
 
     Raises:
-        InvalidParams: draws < 1 or unknown method.
+        InvalidParams: draws < 1, seed < 0 or unknown method.
     """
     if draws < 1:
         raise InvalidParams(f"need at least one draw, got {draws}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got {seed}")
     if method == HISTOGRAM:
         density = histogram_density(A, fd_bin_width(A))
     elif method == KERNEL:

@@ -12,6 +12,7 @@ from espc.bench import (
     bound_violations,
     draw_queries,
     emit_csv,
+    measure_comparisons,
     measure_errors,
     measure_space,
     prepare_keys,
@@ -124,6 +125,17 @@ class TestRunErrorExperiment:
             _small_cfg(k_grid=(1_000, 100))
         with pytest.raises(InvalidParams):
             _small_cfg(queries=0)
+        with pytest.raises(InvalidParams):
+            _small_cfg(seed=-1)
+
+    def test_wrong_rank_fails_the_cross_check(self):
+        keys = validate_key_array(np.arange(10.0))
+        queries = np.array([2.0, 5.5])
+        ranks = np.array([3, 6])
+        counts, _ = measure_comparisons(build_espc(keys, 3), keys, queries, ranks)
+        assert counts.shape == (2,)
+        with pytest.raises(AssertionError, match="5.5"):
+            measure_comparisons(build_espc(keys, 3), keys, queries, np.array([3, 7]))
 
     def test_paper_scale_swaps_grid(self):
         cfg = _small_cfg().paper_scale()

@@ -249,6 +249,27 @@ def _truncated_gz(tmp_path):
     return ["build", "--data", str(path), "--k", "4", "--out", str(tmp_path / "x.espc")], str(path)
 
 
+def _text_sigma(tmp_path):
+    argv, _ = _bad_config(
+        json.dumps({"dataset": {"kind": "normal", "n": 1000, "params": {"sigma": "x"}}})
+    )(tmp_path)
+    return argv, "sigma"
+
+
+def _negative_seed(verb):
+    def argv(tmp_path):
+        path = tmp_path / "keys.sosd"
+        write_sosd(path, validate_key_array(list(range(100)), FLOAT_MODE))
+        tail = {
+            "bench": ["--kind", "uniform", "--n", "1000", "--k-grid", "10", "--queries", "10"],
+            "generate": ["--kind", "uniform", "--n", "10", "--out", str(tmp_path / "g.sosd")],
+            "rho": ["--data", str(path), "--mode", "float64"],
+        }[verb]
+        return [verb, *tail, "--seed", "-1"], "seed"
+
+    return argv
+
+
 _UNIFORM = {"kind": "uniform", "n": 1_000}
 
 
@@ -262,9 +283,14 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _bad_config(json.dumps({"dataset": _UNIFORM, "k_grid": "abc", "queries": 10})),
         _bad_config(json.dumps({"dataset": _UNIFORM, "n_sub": "x", "queries": 10})),
         _truncated_gz,
+        _negative_seed("bench"),
+        _negative_seed("generate"),
+        _negative_seed("rho"),
+        _text_sigma,
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
-         "truncated_gz"],
+         "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
+         "text_sigma"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     argv, culprit = make_argv(tmp_path)

@@ -11,6 +11,7 @@ from espc.errors import (
     IndexMismatch,
     InvalidIndexFile,
     InvalidK,
+    InvalidParams,
     InvalidPolicyParams,
     OutOfRange,
 )
@@ -26,6 +27,7 @@ from espc.index import (
     deserialize_index,
     evaluate_rank,
     evaluate_rank_hier,
+    evaluate_rank_many,
     locate_interval,
     predict,
     predict_many,
@@ -220,6 +222,48 @@ class TestEvaluateRank:
         assert approximation_error(idx, A, 5.0) == 0.0
         assert approximation_error(idx, A, 1.0) == 1.0
         assert approximation_error(idx, A, 2.9) == 0.0
+
+
+class TestEvaluateRankMany:
+    def test_float_queries_past_the_largest_int_key_are_above(self):
+        # 7.5 floors to the largest key but lies above it; so does 2^64 for keys up to 2^64 - 1.
+        for keys, qs in (([2, 3, 5, 7], [7.5, 1.5]), ([2**63, 2**64 - 1], [2.0**64, 0.5])):
+            A = validate_key_array(keys, INT_MODE)
+            ranks, comparisons = evaluate_rank_many(build_espc(A, 2), A, np.array(qs))
+            assert ranks.tolist() == [A.n, 0]
+            assert comparisons.tolist() == [2, 1]
+
+    def test_float_query_on_int_keys_is_located_by_its_own_value(self):
+        # 15.5 floors to key 15, the right edge of interval 3, but lies in interval 4.
+        A = validate_key_array([1, 4, 15, 16, 22, 29], INT_MODE)
+        idx = build_espc(A, 6)
+        ranks, comparisons = evaluate_rank_many(idx, A, np.array([15.5]))
+        assert (ranks[0], comparisons[0]) == (3, evaluate_rank(idx, A, 15.5).comparisons)
+
+    def test_nan_query_raises_out_of_range(self):
+        A = _four_keys()
+        with pytest.raises(OutOfRange):
+            evaluate_rank_many(build_espc(A, 2), A, np.array([1.0, math.nan]))
+        B = validate_key_array([2, 3, 5, 7], INT_MODE)
+        with pytest.raises(OutOfRange):
+            evaluate_rank_many(build_espc(B, 2), B, np.array([math.nan]))
+
+    def test_index_mismatch(self):
+        idx = build_espc(_four_keys(), 2)
+        for other in ([0.0, 1.0], [0.0, 1.0, 2.0, 4.0], [-1.0, 1.0, 2.0, 3.0]):
+            with pytest.raises(IndexMismatch):
+                evaluate_rank_many(idx, validate_key_array(other, FLOAT_MODE), np.array([2.5]))
+
+    def test_non_numeric_queries_raise(self):
+        # 2^64 makes numpy hold these Python ints as objects; as floats 2^63 + 5 would round.
+        A = validate_key_array([1, 2**63 + 5], INT_MODE)
+        with pytest.raises(InvalidParams):
+            evaluate_rank_many(build_espc(A, 2), A, [2**63 + 5, 2**64])
+
+    def test_empty_queries(self):
+        A = _four_keys()
+        ranks, comparisons = evaluate_rank_many(build_espc(A, 2), A, np.array([]))
+        assert ranks.size == 0 and comparisons.size == 0
 
 
 class TestSizing:

@@ -1,11 +1,14 @@
 """Property tests: every lookup path agrees with the linear-scan oracle.
 
-Key sets cover unsigned integers near 2^64, heavy duplicates, all-equal
-keys and finite floats of any magnitude; queries are keys, neighbours of
-keys and arbitrary values on both sides of the key range, as Python or as
-numpy scalars.  Serialized indexes round-trip, and a corrupted one is
-rejected at load, or it no longer matches the keys, or it gives exact ranks.
-A histogram density is positive at every key it was fitted to.
+Key sets cover unsigned integers near 2^64 and near 0, heavy duplicates,
+all-equal keys and finite floats of any magnitude; queries are keys,
+neighbours of keys and arbitrary values on both sides of the key range, as
+Python or as numpy scalars.  Serialized indexes round-trip, and a corrupted
+one is rejected at load, or it no longer matches the keys, or it gives
+exact ranks.
+The batched lookup equals the scalar one, rank and comparisons, on query
+arrays of float64 (either key mode) and uint64 (integer keys).  A histogram
+density is positive at every key it was fitted to.
 """
 
 import math
@@ -14,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
+from espc.core import FLOAT_MODE, INT_MODE, int_key_queries, rank_bruteforce, validate_key_array
 from espc.errors import IndexMismatch, InvalidIndexFile, InvalidK
 from espc.index import (
     build_equal_probability,
@@ -22,9 +25,10 @@ from espc.index import (
     deserialize_index,
     evaluate_rank,
     evaluate_rank_hier,
+    evaluate_rank_many,
     serialize_index,
 )
-from espc.search import binary_search_rank, exponential_search
+from espc.search import binary_search_rank, exponential_search, exponential_search_many
 from espc.stats import histogram_density
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -36,6 +40,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _int_keys = st.one_of(
     st.lists(st.integers(_U64_MAX - 2**12, _U64_MAX), min_size=1, max_size=60),
     st.lists(st.integers(0, _U64_MAX), min_size=1, max_size=60),
+    st.lists(st.integers(0, 200), min_size=1, max_size=60),
     st.lists(st.sampled_from([0, 1, 2**53 + 1, _U64_MAX]), min_size=1, max_size=60),
 ).map(lambda keys: validate_key_array(keys, INT_MODE))
 _float_keys = st.one_of(
@@ -118,6 +123,47 @@ def test_searches_match_oracle_from_every_start(data):
             assert out.rank == rank
             assert out.comparisons <= 2 * math.ceil(math.log2(abs(rank - i) + 2)) + 4
 
+
+@st.composite
+def arrays_and_query_arrays(draw):
+    """A key array and a numpy query array: float64 on either mode, or uint64 on int keys."""
+    A = draw(key_arrays)
+    keys = A.keys.tolist()
+    if A.mode == INT_MODE and draw(st.booleans()):
+        near = [min(k + 1, _U64_MAX) for k in keys[:10]] + [max(k - 1, 0) for k in keys[:10]]
+        pool, dtype = st.one_of(st.sampled_from(keys + near), st.integers(0, _U64_MAX)), np.uint64
+    elif A.mode == INT_MODE:  # hi + 0.5 floors to hi, yet lies above every key
+        near = [float(k) + d for k in keys[:10] + keys[-1:] for d in (-0.5, 0.0, 0.5)]
+        pool, dtype = st.one_of(st.sampled_from(near + [2.0**64]), _FINITE), np.float64
+    else:
+        near = [math.nextafter(k, d) for k in keys[:10] for d in (-math.inf, math.inf)]
+        pool, dtype = st.one_of(st.sampled_from(keys + near), _FINITE), np.float64
+    return A, np.array(draw(st.lists(pool, max_size=30)), dtype=dtype)
+
+
+@given(arrays_and_query_arrays(), st.integers(1, 80))
+def test_batched_lookup_matches_scalar(data, k):
+    A, qs = data
+    idx = _buildable(build_espc, A, k)
+    if idx is None:
+        return
+    ranks, comparisons = evaluate_rank_many(idx, A, qs)
+    scalar = [evaluate_rank(idx, A, q) for q in qs]
+    assert ranks.tolist() == [out.rank for out in scalar]
+    assert comparisons.tolist() == [out.comparisons for out in scalar]
+
+
+@given(arrays_and_query_arrays())
+def test_batched_search_matches_scalar_from_every_start(data):
+    A, qs = data
+    if A.mode == INT_MODE:
+        qs = int_key_queries(qs)[0]
+    starts = np.repeat(np.arange(A.n + 1), len(qs))
+    lanes = np.tile(qs, A.n + 1)
+    ranks, comparisons = exponential_search_many(A, starts, lanes)
+    scalar = [exponential_search(A, int(i), q) for i, q in zip(starts, lanes)]
+    assert ranks.tolist() == [out.rank for out in scalar]
+    assert comparisons.tolist() == [out.comparisons for out in scalar]
 
 
 @given(key_arrays, st.integers(1, 80))

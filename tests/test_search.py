@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
-from espc.errors import StartOutOfRange
-from espc.search import binary_search_rank, exponential_search
+from espc.errors import InvalidParams, StartOutOfRange
+from espc.search import binary_search_rank, exponential_search, exponential_search_many
 
 
 def _exhaustive_query_grid(A):
@@ -132,3 +132,17 @@ class TestExponentialSearch:
         for i in range(5):
             assert exponential_search(A, i, 5).rank == 4
             assert exponential_search(A, i, 4).rank == 0
+
+
+class TestExponentialSearchMany:
+    def test_start_out_of_range(self):
+        A = validate_key_array([1.0, 2.0], FLOAT_MODE)
+        for start in (3, -1):
+            with pytest.raises(StartOutOfRange):
+                exponential_search_many(A, [0, start], [1.0, 1.0])
+
+    def test_int_keys_reject_inexact_queries(self):
+        A = validate_key_array([1, 2], INT_MODE)
+        for qs in (np.array([1.5]), np.array([-1])):
+            with pytest.raises(InvalidParams):
+                exponential_search_many(A, [0], qs)

@@ -191,6 +191,11 @@ class TestHistogramDensity:
         with pytest.raises(InvalidWidth):
             histogram_density(A, 0.0)
 
+    def test_overflowing_heights_raise(self):
+        # One key in a bin 5e-324 wide would have height 1/5e-324 = inf.
+        with pytest.raises(InvalidWidth):
+            histogram_density(validate_key_array([0.0], FLOAT_MODE), 5e-324)
+
     def test_keys_read_from_the_bin_they_were_counted_in(self):
         # Far from zero, fitting and reading must agree on each key's bin.
         A = validate_key_array(
