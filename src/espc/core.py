@@ -61,9 +61,11 @@ class KeyArray:
 def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
     """Validate, sort, and freeze a raw key sequence.
 
-    Sorting is stable, so duplicate keys are preserved verbatim.  Float
-    mode rejects NaN and infinities; integer mode stores unsigned 64-bit
-    values.
+    Duplicate keys are preserved.  Unsorted input is sorted with numpy's
+    default (unstable) sort, which is bit-identical to a stable sort except
+    that ``-0.0`` and ``+0.0`` keys, which compare equal, may swap places.
+    Float mode rejects NaN and infinities; integer mode stores unsigned
+    64-bit values.
 
     Raises:
         EmptyInput: ``raw`` has no elements.
@@ -80,7 +82,7 @@ def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
     if mode == FLOAT_MODE and not np.isfinite(arr).all():
         raise NonFiniteKey("float keys must be finite (no NaN/inf)")
     if not _is_sorted(arr):
-        arr = np.sort(arr, kind="stable")
+        arr = np.sort(arr)
     else:
         arr = arr.copy()
     arr.setflags(write=False)

@@ -157,7 +157,12 @@ def rescale_unit(A: KeyArray) -> KeyArray:
 
 
 def subsample(A: KeyArray, m: int, seed: int = 0) -> KeyArray:
-    """m keys drawn uniformly without replacement, re-sorted; seeded.
+    """m keys drawn uniformly without replacement, in key order; seeded.
+
+    The keys are gathered at the sorted drawn positions, so they need no
+    sort of their own: ``A.keys`` is non-decreasing.  The result holds the
+    same values as sorting the drawn keys, bit for bit unless ``A`` holds
+    both ``-0.0`` and ``+0.0``, which keep their order in ``A``.
 
     Raises:
         InvalidM: m outside [1, n].
@@ -166,6 +171,6 @@ def subsample(A: KeyArray, m: int, seed: int = 0) -> KeyArray:
         raise InvalidM(f"subsample size must be in [1, {A.n}], got {m}")
     rng = np.random.default_rng(seed)
     picks = rng.choice(A.n, size=m, replace=False)
-    keys = np.sort(A.keys[picks], kind="stable")
+    keys = A.keys[np.sort(picks)]
     keys.setflags(write=False)
     return KeyArray(keys=keys, mode=A.mode)

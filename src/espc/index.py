@@ -72,7 +72,8 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     single interval with estimate n/2.
 
     Raises:
-        InvalidK: k < 1, or (x_last - x_first)/k is not a positive finite float.
+        InvalidK: k < 1, (x_last - x_first)/k is not a positive finite float,
+            or k slots cannot be allocated.
     """
     if k < 1:
         raise InvalidK(f"interval count must be >= 1, got {k}")
@@ -87,7 +88,10 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     if not 0.0 < delta < math.inf:
         raise InvalidK(f"{k} intervals over [{x_first}, {x_last}] have length {delta}")
     ks = assign_intervals(A.keys, x_first, delta, k)
-    counts = np.bincount(ks, minlength=k + 1)[1:].astype(np.float64)
+    try:
+        counts = np.bincount(ks, minlength=k + 1)[1:].astype(np.float64)
+    except (MemoryError, ValueError, OverflowError) as exc:  # too many slots to allocate
+        raise InvalidK(f"cannot allocate {k} interval slots") from exc
     before = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
     r = before + counts / 2.0
     r.setflags(write=False)
@@ -173,12 +177,7 @@ def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_o
     """
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    keys = A.keys
-    n, lo, hi = len(keys), keys.item(0), keys.item(-1)
-    if index.n != n:
-        raise IndexMismatch(f"index holds n={index.n}, array has n={n}")
-    if float(lo) != x_first or (x_last is not None and float(hi) != x_last):
-        raise IndexMismatch(f"array keys [{lo}, {hi}] are not the keys the index was built over")
+    n, lo, hi = _built_over(index, A, x_first, x_last)
     if q < lo:
         return SearchOutcome(rank=0, comparisons=1)
     if q > hi:
@@ -186,6 +185,16 @@ def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_o
     start, cost = start_of(index, q)
     corrected = exponential_search(A, start, q)
     return SearchOutcome(rank=corrected.rank, comparisons=2 + cost + corrected.comparisons)
+
+
+def _built_over(index, A: KeyArray, x_first: float, x_last: float | None):
+    keys = A.keys
+    n, lo, hi = len(keys), keys.item(0), keys.item(-1)
+    if index.n != n:
+        raise IndexMismatch(f"index holds n={index.n}, array has n={n}")
+    if float(lo) != x_first or (x_last is not None and float(hi) != x_last):
+        raise IndexMismatch(f"array keys [{lo}, {hi}] are not the keys the index was built over")
+    return n, lo, hi
 
 
 def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.ndarray]:
@@ -203,17 +212,16 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     Raises:
         IndexMismatch: index was built over an array of other length or key range.
         OutOfRange: a query is NaN.
-        InvalidParams: the queries are not a numeric array.
+        InvalidParams: the queries are not a numeric array, or are a list that
+            numpy makes float64 though an integer in it is not a float64.
     """
-    keys = A.keys
-    n, lo, hi = len(keys), keys.item(0), keys.item(-1)
-    if idx.n != n:
-        raise IndexMismatch(f"index holds n={idx.n}, array has n={n}")
-    if float(lo) != idx.x_first or float(hi) != idx.x_last:
-        raise IndexMismatch(f"array keys [{lo}, {hi}] are not the keys the index was built over")
+    n, lo, hi = _built_over(idx, A, idx.x_first, idx.x_last)
     raw = np.asarray(qs)
     if raw.dtype.kind not in "biuf":  # e.g. Python ints beyond 64 bits, which numpy keeps as objects
         raise InvalidParams(f"queries must be a numeric array, got dtype {raw.dtype}")
+    if raw.dtype.kind == "f" and isinstance(qs, (list, tuple)):  # numpy rounds [-1, 2**63 + 5]
+        if any(isinstance(q, (int, np.integer)) and float(q) != int(q) for q in qs):
+            raise InvalidParams("queries hold integers that float64 cannot represent exactly")
     if raw.dtype.kind == "f" and np.isnan(raw).any():
         raise OutOfRange("NaN query has no rank")
     if A.mode == INT_MODE:

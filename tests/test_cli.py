@@ -270,6 +270,14 @@ def _negative_seed(verb):
     return argv
 
 
+def _huge_k(tmp_path):
+    # 10^15 slots cannot be allocated anywhere; never use a K that might be.
+    path = tmp_path / "keys.sosd"
+    write_sosd(path, validate_key_array(list(range(10)), INT_MODE))
+    k = str(10**15)
+    return ["build", "--data", str(path), "--k", k, "--out", str(tmp_path / "x.espc")], k
+
+
 _UNIFORM = {"kind": "uniform", "n": 1_000}
 
 
@@ -287,10 +295,11 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _negative_seed("generate"),
         _negative_seed("rho"),
         _text_sigma,
+        _huge_k,
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
-         "text_sigma"],
+         "text_sigma", "huge_k"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     argv, culprit = make_argv(tmp_path)

@@ -169,6 +169,26 @@ class TestSubsample:
             subsample(A, 100, seed=3).keys, subsample(A, 100, seed=3).keys
         )
 
+    def test_equals_sorting_the_drawn_keys(self):
+        # Keys at the sorted drawn positions are the drawn keys, sorted: bit for bit
+        # without signed zeros, and value for value with them.
+        rng = np.random.default_rng(8)
+        zeros = validate_key_array(rng.choice([-0.0, 0.0, 0.5], 3000), FLOAT_MODE)
+        near_top = rng.integers(2**64 - 2**10, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True)
+        for A in (
+            generate(DatasetSpec("beta22", n=3000, seed=6)),
+            validate_key_array(np.round(rng.random(3000), 2), FLOAT_MODE),  # duplicates
+            validate_key_array(near_top, INT_MODE),
+            zeros,
+        ):
+            for m, seed in ((1, 0), (700, 3), (3000, 4)):
+                out = subsample(A, m, seed)
+                picks = np.random.default_rng(seed).choice(A.n, m, replace=False)
+                expected = np.sort(A.keys[picks], kind="stable")
+                assert out.mode == A.mode and not out.keys.flags.writeable
+                assert np.array_equal(out.keys, expected)
+                assert A is zeros or out.keys.tobytes() == expected.tobytes()
+
     def test_bad_m(self):
         A = generate(DatasetSpec("uniform", n=10, seed=6))
         with pytest.raises(InvalidM):

@@ -74,6 +74,8 @@ class TestBuild:
         for keys, k in (([0.0, 5e-324], 3), ([-1.7e308, 1.7e308], 1)):
             with pytest.raises(InvalidK):
                 build_espc(validate_key_array(keys, FLOAT_MODE), k)
+        with pytest.raises(InvalidK):  # 8 PB of slots
+            build_espc(_four_keys(), 10**15)
 
     def test_estimates_reconstruct_from_counts(self):
         rng = np.random.default_rng(21)
@@ -259,6 +261,17 @@ class TestEvaluateRankMany:
         A = validate_key_array([1, 2**63 + 5], INT_MODE)
         with pytest.raises(InvalidParams):
             evaluate_rank_many(build_espc(A, 2), A, [2**63 + 5, 2**64])
+
+    def test_list_of_ints_that_float64_rounds_raises(self):
+        # numpy makes these lists float64 arrays, where 2^63 + 5 rounds to 2^63.
+        A = validate_key_array([1, 2**63 + 5], INT_MODE)
+        idx = build_espc(A, 2)
+        for qs in ([-1, 2**63 + 5], (0.5, 2**63 + 5), [np.int64(-1), np.uint64(2**63 + 5)]):
+            with pytest.raises(InvalidParams):
+                evaluate_rank_many(idx, A, qs)
+        # A list that float64 holds exactly still matches the scalar lookup.
+        ranks, _ = evaluate_rank_many(idx, A, [-1, 2**63])
+        assert ranks.tolist() == [evaluate_rank(idx, A, q).rank for q in (-1, 2**63)] == [0, 1]
 
     def test_empty_queries(self):
         A = _four_keys()

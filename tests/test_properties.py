@@ -7,8 +7,9 @@ Python or as numpy scalars.  Serialized indexes round-trip, and a corrupted
 one is rejected at load, or it no longer matches the keys, or it gives
 exact ranks.
 The batched lookup equals the scalar one, rank and comparisons, on query
-arrays of float64 (either key mode) and uint64 (integer keys).  A histogram
-density is positive at every key it was fitted to.
+arrays of float64 (either key mode) and uint64 (integer keys).  Validation
+sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
+histogram density is positive at every key it was fitted to.
 """
 
 import math
@@ -56,6 +57,35 @@ _equal_keys = st.one_of(
     ),
 )
 key_arrays = st.one_of(_int_keys, _float_keys, _equal_keys)
+
+
+_SIGNED_FLOATS = st.one_of(_FINITE, st.sampled_from([-0.0, 0.0]))
+_TOP_UINTS = st.integers(_U64_MAX - 2**8, _U64_MAX)
+
+
+def _pooled(values, dtype):
+    """Up to 3 000 draws from a pool of at most 8 values (one value: all keys equal)."""
+    return st.tuples(
+        st.lists(values, min_size=1, max_size=8), st.integers(1, 3000), st.integers(0, 2**32)
+    ).map(lambda t: np.random.default_rng(t[2]).choice(np.array(t[0], dtype=dtype), t[1]))
+
+
+_raw_keys = st.one_of(
+    st.lists(_SIGNED_FLOATS, min_size=1, max_size=60).map(np.array),
+    st.lists(_TOP_UINTS, min_size=1, max_size=60).map(lambda keys: np.array(keys, np.uint64)),
+    _pooled(_SIGNED_FLOATS, np.float64),
+    _pooled(_TOP_UINTS, np.uint64),
+)
+
+
+@given(_raw_keys)
+def test_validation_sorts_as_a_stable_sort_does(raw):
+    keys = validate_key_array(raw, FLOAT_MODE if raw.dtype.kind == "f" else INT_MODE).keys
+    stable = np.sort(raw, kind="stable")
+    assert np.array_equal(keys, stable)
+    signs = np.signbit(raw[raw == 0])
+    if signs.all() or not signs.any():  # no -0.0 and +0.0 to tie
+        assert keys.tobytes() == stable.tobytes()
 
 
 @st.composite
