@@ -114,8 +114,15 @@ def draw_queries(cfg: BenchConfig, keys: KeyArray) -> np.ndarray:
 
 
 def measure_errors(idx: EspcIndex, queries: np.ndarray, ranks: np.ndarray) -> float:
-    """Mean absolute prediction error of the index, given the queries' exact ranks."""
-    return float(np.mean(np.abs(ranks - predict_many(idx, queries))))
+    """Mean absolute prediction error of the index, given the queries' exact ranks.
+
+    Predicts in blocks of :data:`QUERY_BLOCK`: the errors are the one query-sized temporary.
+    """
+    errors = np.empty(len(queries))
+    for lo in range(0, len(queries), QUERY_BLOCK):
+        block = slice(lo, lo + QUERY_BLOCK)
+        errors[block] = np.abs(ranks[block] - predict_many(idx, queries[block]))
+    return float(np.mean(errors))
 
 
 def measure_comparisons(

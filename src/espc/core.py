@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +35,20 @@ class KeyArray:
     layout used by sorted-data benchmark files) and ``"float64"`` (IEEE
     doubles, the natural domain for synthetic data and rescaled keys).
     Duplicates are allowed and preserved.  Instances are safe to share
-    across threads; the backing array is marked read-only.
+    across threads; the backing array is marked read-only.  Instances pickle
+    and deep-copy as ``validate_key_array(keys, mode)``, without the cached view.
     """
 
     keys: np.ndarray
     mode: str
+
+    @cached_property
+    def _view(self) -> memoryview:
+        """``keys`` for scalar probes: each item is the Python scalar ``keys.item`` gives."""
+        return memoryview(self.keys).toreadonly()
+
+    def __reduce__(self):
+        return validate_key_array, (self.keys, self.mode)
 
     @property
     def n(self) -> int:

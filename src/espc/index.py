@@ -72,11 +72,11 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     single interval with estimate n/2.
 
     Raises:
-        InvalidK: k < 1, (x_last - x_first)/k is not a positive finite float,
-            or k slots cannot be allocated.
+        InvalidK: k outside [1, 2^63), (x_last - x_first)/k is not a positive
+            finite float, or k slots cannot be allocated.
     """
-    if k < 1:
-        raise InvalidK(f"interval count must be >= 1, got {k}")
+    if not 1 <= k < 2**63:  # interval numbers are int64
+        raise InvalidK(f"interval count must be in [1, 2^63), got {k}")
     n = A.n
     x_first = float(A.keys[0])
     x_last = float(A.keys[-1])
@@ -179,17 +179,17 @@ def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_o
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     n, lo, hi = _built_over(index, A, x_first, x_last)
     if q < lo:
-        return SearchOutcome(rank=0, comparisons=1)
+        return SearchOutcome(0, 1)
     if q > hi:
-        return SearchOutcome(rank=n, comparisons=2)
+        return SearchOutcome(n, 2)
     start, cost = start_of(index, q)
-    corrected = exponential_search(A, start, q)
-    return SearchOutcome(rank=corrected.rank, comparisons=2 + cost + corrected.comparisons)
+    rank, comparisons = exponential_search(A, start, q)
+    return SearchOutcome(rank, 2 + cost + comparisons)
 
 
 def _built_over(index, A: KeyArray, x_first: float, x_last: float | None):
-    keys = A.keys
-    n, lo, hi = len(keys), keys.item(0), keys.item(-1)
+    keys = A._view
+    n, lo, hi = len(keys), keys[0], keys[-1]
     if index.n != n:
         raise IndexMismatch(f"index holds n={index.n}, array has n={n}")
     if float(lo) != x_first or (x_last is not None and float(hi) != x_last):
@@ -212,13 +212,13 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     Raises:
         IndexMismatch: index was built over an array of other length or key range.
         OutOfRange: a query is NaN.
-        InvalidParams: the queries are not a numeric array, or are a list that
-            numpy makes float64 though an integer in it is not a float64.
+        InvalidParams: the queries are not a 1-D numeric array, or are a list
+            that numpy makes float64 though an integer in it is not a float64.
     """
     n, lo, hi = _built_over(idx, A, idx.x_first, idx.x_last)
     raw = np.asarray(qs)
-    if raw.dtype.kind not in "biuf":  # e.g. Python ints beyond 64 bits, which numpy keeps as objects
-        raise InvalidParams(f"queries must be a numeric array, got dtype {raw.dtype}")
+    if raw.ndim != 1 or raw.dtype.kind not in "biuf":  # "O": Python ints beyond 64 bits
+        raise InvalidParams(f"queries must be a 1-D numeric array, got {raw.ndim}-D {raw.dtype}")
     if raw.dtype.kind == "f" and isinstance(qs, (list, tuple)):  # numpy rounds [-1, 2**63 + 5]
         if any(isinstance(q, (int, np.integer)) and float(q) != int(q) for q in qs):
             raise InvalidParams("queries hold integers that float64 cannot represent exactly")

@@ -10,7 +10,7 @@ same probes, so its ranks and counts equal the scalar ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .core import KeyArray, Rank
 from .errors import InvalidParams, StartOutOfRange
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a search: the exact rank and the comparisons it cost."""
 
     rank: Rank
@@ -33,7 +32,8 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
     """
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    return _bisect(A.keys, 0, A.n, q, 0)
+    view = A._view
+    return _bisect(view, 0, len(view), q, 0)
 
 
 def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
@@ -48,18 +48,18 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     Raises:
         StartOutOfRange: ``i`` outside [0, n].
     """
-    n = A.n
+    keys = A._view
+    n = len(keys)
     if not 0 <= i <= n:
         raise StartOutOfRange(f"start {i} outside [0, {n}]")
     if isinstance(q, np.floating):
         q = float(q)
-    keys = A.keys
     comparisons = 0
 
     go_right = False
     if i < n:
         comparisons += 1
-        go_right = keys.item(i) <= q
+        go_right = keys[i] <= q
 
     step = 1
     if go_right:
@@ -67,7 +67,7 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
         lo, hi = i + 1, n
         while i + step < n:
             comparisons += 1
-            if keys.item(i + step) <= q:
+            if keys[i + step] <= q:
                 lo = i + step + 1
                 step *= 2
             else:
@@ -81,12 +81,14 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
             if j < 0:
                 j = 0
             comparisons += 1
-            if keys.item(j) <= q:
+            if keys[j] <= q:
                 lo = j + 1
                 break
             hi = j
             step *= 2
 
+    if lo == hi:
+        return SearchOutcome(lo, comparisons)
     return _bisect(keys, lo, hi, q, comparisons)
 
 
@@ -173,8 +175,8 @@ def _bisect(keys, lo: int, hi: int, q, comparisons: int) -> SearchOutcome:
     while lo < hi:
         mid = (lo + hi) // 2
         comparisons += 1
-        if keys.item(mid) <= q:
+        if keys[mid] <= q:
             lo = mid + 1
         else:
             hi = mid
-    return SearchOutcome(rank=lo, comparisons=comparisons)
+    return SearchOutcome(lo, comparisons)

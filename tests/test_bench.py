@@ -1,6 +1,7 @@
 """Experiment harness: records, bounds, space accounting, CSV output."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ class TestRunErrorExperiment:
         assert counts.shape == (2,)
         with pytest.raises(AssertionError, match="5.5"):
             measure_comparisons(build_espc(keys, 3), keys, queries, np.array([3, 7]))
+
+    def test_measure_errors_peak_below_twice_the_queries(self):
+        keys = validate_key_array(np.linspace(0.0, 1.0, 1_000))
+        idx = build_espc(keys, 100)
+        queries = np.random.default_rng(12).random(1_000_000)
+        ranks = np.searchsorted(keys.keys, queries, side="right")
+        want = float(np.mean(np.abs(ranks - predict_many(idx, queries))))
+        tracemalloc.start()
+        try:
+            got = measure_errors(idx, queries, ranks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want  # bit-identical to one unblocked pass
+        assert peak < 2 * queries.nbytes
 
     def test_paper_scale_swaps_grid(self):
         cfg = _small_cfg().paper_scale()

@@ -1,12 +1,15 @@
 """Construction, prediction, exact lookup, sizing, and serialization."""
 
+import copy
 import math
+import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
+from espc.core import FLOAT_MODE, INT_MODE, KeyArray, rank_bruteforce, validate_key_array
 from espc.errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -33,6 +36,7 @@ from espc.index import (
     predict_many,
     serialize_index,
 )
+from espc.search import binary_search_rank, exponential_search
 
 
 def _four_keys():
@@ -76,6 +80,11 @@ class TestBuild:
                 build_espc(validate_key_array(keys, FLOAT_MODE), k)
         with pytest.raises(InvalidK):  # 8 PB of slots
             build_espc(_four_keys(), 10**15)
+        with warnings.catch_warnings():  # refused before numpy warns of an invalid int64 cast
+            warnings.simplefilter("error")
+            for k in (2**63, 10**30):
+                with pytest.raises(InvalidK):
+                    build_espc(_four_keys(), k)
 
     def test_estimates_reconstruct_from_counts(self):
         rng = np.random.default_rng(21)
@@ -225,6 +234,30 @@ class TestEvaluateRank:
         assert approximation_error(idx, A, 1.0) == 1.0
         assert approximation_error(idx, A, 2.9) == 0.0
 
+    def test_keys_pickle_and_deepcopy_after_a_lookup(self):
+        for keys, mode in (([0.5, 1.5, 2.5, 2.5], FLOAT_MODE), ([3, 2**63, 2**64 - 1], INT_MODE)):
+            A = validate_key_array(keys, mode)
+            idx = build_espc(A, 2)
+            want = evaluate_rank(idx, A, 2**63)  # caches the probe view
+            for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
+                assert B.mode == mode and np.array_equal(B.keys, A.keys)
+                assert B.keys.dtype == A.keys.dtype and not B.keys.flags.writeable
+                assert evaluate_rank(idx, B, 2**63) == want
+
+    def test_strided_keys_match_oracle(self):
+        rng = np.random.default_rng(27)
+        for arr, mode in ((np.sort(rng.random(301)), FLOAT_MODE),
+                          (np.sort(rng.integers(2**63, 2**64 - 1, 301, dtype=np.uint64)), INT_MODE)):
+            A = KeyArray(keys=arr[::2], mode=mode)
+            idx, h = build_espc(A, 40), build_equal_probability(A, 12, 5)
+            for q in list(arr) + [arr[0] - 1, arr[-1] + 1]:
+                q = q.item()
+                truth = rank_bruteforce(A, q)
+                assert evaluate_rank(idx, A, q).rank == truth
+                assert evaluate_rank_hier(h, A, q).rank == truth
+                assert binary_search_rank(A, q).rank == truth
+                assert exponential_search(A, A.n // 2, q).rank == truth
+
 
 class TestEvaluateRankMany:
     def test_float_queries_past_the_largest_int_key_are_above(self):
@@ -272,6 +305,13 @@ class TestEvaluateRankMany:
         # A list that float64 holds exactly still matches the scalar lookup.
         ranks, _ = evaluate_rank_many(idx, A, [-1, 2**63])
         assert ranks.tolist() == [evaluate_rank(idx, A, q).rank for q in (-1, 2**63)] == [0, 1]
+
+    def test_queries_that_are_not_1d_raise(self):
+        A = validate_key_array([1.0, 2.0, 3.0], FLOAT_MODE)
+        idx = build_espc(A, 2)
+        for qs in (2.5, np.float64(2.5), [[1.5, 2.5]]):
+            with pytest.raises(InvalidParams):
+                evaluate_rank_many(idx, A, qs)
 
     def test_empty_queries(self):
         A = _four_keys()

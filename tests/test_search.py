@@ -7,7 +7,12 @@ import pytest
 
 from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
 from espc.errors import InvalidParams, StartOutOfRange
-from espc.search import binary_search_rank, exponential_search, exponential_search_many
+from espc.search import (
+    SearchOutcome,
+    binary_search_rank,
+    exponential_search,
+    exponential_search_many,
+)
 
 
 def _exhaustive_query_grid(A):
@@ -17,6 +22,16 @@ def _exhaustive_query_grid(A):
     lo = float(vals[0]) - 1.0
     hi = float(vals[-1]) + 1.0
     return np.concatenate(([lo], vals, mids, [hi]))
+
+
+class TestSearchOutcome:
+    def test_named_tuple(self):
+        out = SearchOutcome(rank=2, comparisons=4)
+        assert out == SearchOutcome(2, 4) == (2, 4)
+        rank, comparisons = out
+        assert (rank, comparisons) == (out.rank, out.comparisons) == (2, 4)
+        with pytest.raises(AttributeError):
+            out.rank = 3
 
 
 class TestBinarySearch:
