@@ -65,6 +65,25 @@ def assign_intervals(values, lo: float, step: float, k: int) -> np.ndarray:
     return np.clip(raw, 1, k).astype(np.int64)
 
 
+def _cell_counts(values, lo: float, hi: float, k: int) -> tuple[np.ndarray, float]:
+    """Counts of ``values`` in ``k`` equal cells of [lo, hi], and the cell length.
+
+    [lo, lo] is one cell of length 0.  Raises InvalidK as :func:`build_espc` does.
+    """
+    if not 1 <= k < 2**63:  # interval numbers are int64
+        raise InvalidK(f"interval count must be in [1, 2^63), got {k}")
+    if lo == hi:
+        return np.array([len(values)]), 0.0
+    step = (hi - lo) / k
+    if not 0.0 < step < math.inf:
+        raise InvalidK(f"{k} intervals over [{lo}, {hi}] have length {step}")
+    cells = assign_intervals(values, lo, step, k)
+    try:
+        return np.bincount(cells, minlength=k + 1)[1:], step
+    except (MemoryError, ValueError, OverflowError) as exc:  # too many cells to allocate
+        raise InvalidK(f"cannot allocate {k} interval slots") from exc
+
+
 def build_espc(A: KeyArray, k: int) -> EspcIndex:
     """Build an index with ``k`` equal-length intervals over ``A``.
 
@@ -75,27 +94,13 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
         InvalidK: k outside [1, 2^63), (x_last - x_first)/k is not a positive
             finite float, or k slots cannot be allocated.
     """
-    if not 1 <= k < 2**63:  # interval numbers are int64
-        raise InvalidK(f"interval count must be in [1, 2^63), got {k}")
-    n = A.n
-    x_first = float(A.keys[0])
-    x_last = float(A.keys[-1])
-    if x_first == x_last:
-        r = np.array([n / 2.0])
-        r.setflags(write=False)
-        return EspcIndex(K=1, delta=0.0, x_first=x_first, x_last=x_last, n=n, r=r)
-    delta = (x_last - x_first) / k
-    if not 0.0 < delta < math.inf:
-        raise InvalidK(f"{k} intervals over [{x_first}, {x_last}] have length {delta}")
-    ks = assign_intervals(A.keys, x_first, delta, k)
-    try:
-        counts = np.bincount(ks, minlength=k + 1)[1:].astype(np.float64)
-    except (MemoryError, ValueError, OverflowError) as exc:  # too many slots to allocate
-        raise InvalidK(f"cannot allocate {k} interval slots") from exc
+    x_first, x_last = float(A.keys[0]), float(A.keys[-1])
+    counts, delta = _cell_counts(A.keys, x_first, x_last, k)
+    counts = counts.astype(np.float64)
     before = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
     r = before + counts / 2.0
     r.setflags(write=False)
-    return EspcIndex(K=k, delta=delta, x_first=x_first, x_last=x_last, n=n, r=r)
+    return EspcIndex(K=len(r), delta=delta, x_first=x_first, x_last=x_last, n=A.n, r=r)
 
 
 def locate_interval(idx: EspcIndex, q) -> int:
@@ -234,12 +239,8 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     ranks = np.where(over, n, 0)
     comparisons = np.where(under, 1, 2)
     inside = np.flatnonzero(~(under | over))
-    if inside.size:
-        if idx.delta == 0.0:
-            estimates = np.full(inside.size, idx.r[0])
-        else:  # locate with the query's own value, as the scalar lookup does
-            estimates = idx.r[assign_intervals(raw[inside], idx.x_first, idx.delta, idx.K) - 1]
-        found, cost = exponential_search_many(A, np.ceil(estimates), q[inside])
+    if inside.size:  # locate with the query's own value, as the scalar lookup does
+        found, cost = exponential_search_many(A, np.ceil(predict_many(idx, raw[inside])), q[inside])
         ranks[inside] = found
         comparisons[inside] += cost
     return ranks, comparisons
@@ -329,13 +330,11 @@ def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
     i = 0..k-1, so the first boundary is the minimum key.
 
     Raises:
-        InvalidK: k < 1, k_top < 1, or k > n.
+        InvalidK: k outside [1, n], or k_top refused by :func:`build_espc`.
     """
     n = A.n
-    if k < 1 or k_top < 1:
-        raise InvalidK("bucket and top interval counts must be >= 1")
-    if k > n:
-        raise InvalidK(f"bucket count {k} exceeds key count {n}")
+    if not 1 <= k <= n:
+        raise InvalidK(f"bucket count must be in [1, {n}], got {k}")
     positions = np.minimum(np.ceil(np.arange(k) * n / k).astype(np.int64), n - 1)
     boundary_keys = A.keys[positions].copy()
     boundary_keys.setflags(write=False)

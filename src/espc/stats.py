@@ -25,7 +25,7 @@ from .errors import (
     InvalidWidth,
     SupportViolation,
 )
-from .index import assign_intervals
+from .index import _cell_counts
 
 HISTOGRAM = "histogram"
 KERNEL = "kernel"
@@ -52,15 +52,13 @@ class PartitionProfile:
 def partition_probabilities(A: KeyArray, a: float, b: float, k: int) -> PartitionProfile:
     """Empirical cell probabilities of ``A`` over K equal cells of [a, b].
 
-    Cell membership uses the same clamped-ceiling rule as index
-    construction, so these probabilities predict index behaviour directly.
+    Cells are counted as index construction counts them, so these
+    probabilities predict index behaviour directly.
 
     Raises:
         SupportViolation: [a, b] does not contain the key range.
-        InvalidK: k < 1.
+        InvalidK: as :func:`espc.index.build_espc` raises it.
     """
-    if k < 1:
-        raise InvalidK(f"cell count must be >= 1, got {k}")
     if not a < b:
         raise SupportViolation(f"need a < b, got [{a}, {b}]")
     if a > float(A.keys[0]) or float(A.keys[-1]) > b:
@@ -68,8 +66,7 @@ def partition_probabilities(A: KeyArray, a: float, b: float, k: int) -> Partitio
             f"support [{a}, {b}] does not cover keys "
             f"[{float(A.keys[0])}, {float(A.keys[-1])}]"
         )
-    cells = assign_intervals(A.keys, a, (b - a) / k, k)
-    p = np.bincount(cells, minlength=k + 1)[1:] / A.n
+    p = _cell_counts(A.keys, a, b, k)[0] / A.n
     p.setflags(write=False)
     return PartitionProfile(p=p)
 

@@ -270,12 +270,15 @@ def _negative_seed(verb):
     return argv
 
 
-def _huge_k(tmp_path):
+def _bad_k(verb, k, keys=tuple(range(10)), mode=INT_MODE):
     # 10^15 slots cannot be allocated anywhere; never use a K that might be.
-    path = tmp_path / "keys.sosd"
-    write_sosd(path, validate_key_array(list(range(10)), INT_MODE))
-    k = str(10**15)
-    return ["build", "--data", str(path), "--k", k, "--out", str(tmp_path / "x.espc")], k
+    def argv(tmp_path):
+        path = tmp_path / "keys.sosd"
+        write_sosd(path, validate_key_array(list(keys), mode))
+        tail = {"build": ["--out", str(tmp_path / "x.espc")], "entropy": ["--mode", mode]}[verb]
+        return [verb, "--data", str(path), "--k", k, *tail], k
+
+    return argv
 
 
 _UNIFORM = {"kind": "uniform", "n": 1_000}
@@ -295,11 +298,14 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _negative_seed("generate"),
         _negative_seed("rho"),
         _text_sigma,
-        _huge_k,
+        _bad_k("build", str(10**15)),
+        _bad_k("entropy", str(10**15)),
+        _bad_k("entropy", str(2**63)),
+        _bad_k("entropy", "3", keys=(0.0, 5e-324), mode=FLOAT_MODE),
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
-         "text_sigma", "huge_k"],
+         "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     argv, culprit = make_argv(tmp_path)

@@ -7,7 +7,8 @@ Python or as numpy scalars.  Serialized indexes round-trip, and a corrupted
 one is rejected at load, or it no longer matches the keys, or it gives
 exact ranks.
 The batched lookup equals the scalar one, rank and comparisons, on query
-arrays of float64 (either key mode) and uint64 (integer keys).  Validation
+arrays of float64 (either key mode) and uint64 (integer keys).  The cell
+probabilities are the occupancies the index's slots encode.  Validation
 sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
 histogram density is positive at every key it was fitted to.
 """
@@ -30,7 +31,7 @@ from espc.index import (
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search, exponential_search_many
-from espc.stats import histogram_density
+from espc.stats import histogram_density, partition_probabilities
 
 hypothesis = pytest.importorskip("hypothesis")
 given, example, st = hypothesis.given, hypothesis.example, hypothesis.strategies
@@ -222,6 +223,22 @@ def test_corrupt_blob_is_rejected_or_still_exact(data, k, more):
         except IndexMismatch:  # a changed n or key range
             continue
         assert rank == rank_bruteforce(A, q)
+
+
+@given(key_arrays.filter(lambda A: float(A.keys[0]) < float(A.keys[-1])), st.integers(1, 80))
+def test_cell_probabilities_are_the_slot_occupancies(A, k):
+    a, b = float(A.keys[0]), float(A.keys[-1])
+    idx = _buildable(build_espc, A, k)
+    if idx is None:
+        with pytest.raises(InvalidK):
+            partition_probabilities(A, a, b, k)
+        return
+    counts, before = [], 0.0
+    for r in idx.r:  # r_k = before_k + c_k/2
+        counts.append(2 * (r - before))
+        before += counts[-1]
+    expected = np.array(counts) / A.n
+    assert partition_probabilities(A, a, b, k).p.tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Partition profiles, entropy, error bounds, densities, and the rho estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from espc.data import DatasetSpec, generate, rescale_unit
 from espc.errors import (
     DegenerateIQR,
     DegenerateIqrWarning,
+    InvalidK,
     InvalidParams,
     InvalidWidth,
     SupportViolation,
@@ -58,6 +60,18 @@ class TestPartitionProbabilities:
             partition_probabilities(A, 0.0, 1.0, 2)
         with pytest.raises(SupportViolation):
             partition_probabilities(A, 1.0, 1.0, 2)
+
+    def test_invalid_k(self):
+        unit = validate_key_array([0.1, 0.2, 0.6, 0.9], FLOAT_MODE)
+        tiny = validate_key_array([0.0, 5e-324], FLOAT_MODE)  # the cell length underflows to 0
+        wide = validate_key_array([-1.7e308, 1.7e308], FLOAT_MODE)  # the span overflows
+        cases = [(unit, 0.0, 1.0, k) for k in (0, 10**15, 2**63, 10**30)]  # 10^15: 8 PB
+        cases += [(tiny, 0.0, 5e-324, 3), (wide, -1.7e308, 1.7e308, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A, a, b, k in cases:
+                with pytest.raises(InvalidK):
+                    partition_probabilities(A, a, b, k)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(31)
