@@ -82,6 +82,11 @@ def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
         NonFiniteKey: float mode saw NaN or +/-inf.
         InvalidParams: ``mode`` is not one of :data:`MODES`.
     """
+    return _validated(raw, mode)[0]
+
+
+def _validated(raw, mode: str) -> tuple[KeyArray, bool]:
+    """:func:`validate_key_array`, and whether ``raw`` was already sorted."""
     if mode not in _DTYPES:
         raise InvalidParams(f"unknown key mode {mode!r}")
     arr = np.asarray(raw, dtype=_DTYPES[mode])
@@ -91,12 +96,10 @@ def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
         raise EmptyInput("key array must contain at least one key")
     if mode == FLOAT_MODE and not np.isfinite(arr).all():
         raise NonFiniteKey("float keys must be finite (no NaN/inf)")
-    if not _is_sorted(arr):
-        arr = np.sort(arr)
-    else:
-        arr = arr.copy()
+    was_sorted = _is_sorted(arr)
+    arr = arr.copy() if was_sorted else np.sort(arr)
     arr.setflags(write=False)
-    return KeyArray(keys=arr, mode=mode)
+    return KeyArray(keys=arr, mode=mode), was_sorted
 
 
 def rank_bruteforce(A: KeyArray, q) -> Rank:

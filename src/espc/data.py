@@ -12,11 +12,12 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
-from .core import FLOAT_MODE, INT_MODE, KeyArray, validate_key_array
+from .core import FLOAT_MODE, INT_MODE, KeyArray, _validated, validate_key_array
 from .errors import (
     CountMismatch,
     DegenerateRange,
@@ -63,7 +64,8 @@ def generate(spec: DatasetSpec) -> KeyArray:
     mode; files keep the mode they are read with.
 
     Raises:
-        InvalidParams: unknown kind, n < 1, or bad distribution params.
+        InvalidParams: unknown kind, n < 1, bad distribution params, or n draws
+            that cannot be allocated.
     """
     if spec.kind == FILE:
         path = spec.params.get("path")
@@ -76,9 +78,9 @@ def generate(spec: DatasetSpec) -> KeyArray:
         raise InvalidParams(f"need n >= 1, got {spec.n}")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == UNIFORM:
-        draws = rng.random(spec.n)
+        draw = rng.random
     elif spec.kind == BETA22:
-        draws = rng.beta(2.0, 2.0, spec.n)
+        draw = partial(rng.beta, 2.0, 2.0)
     else:
         try:
             mu = float(spec.params.get("mu", 0.0))
@@ -87,10 +89,11 @@ def generate(spec: DatasetSpec) -> KeyArray:
             raise InvalidParams(f"mu and sigma must be numbers, got {dict(spec.params)}") from exc
         if sigma <= 0:
             raise InvalidParams(f"sigma must be positive, got {sigma}")
-        if spec.kind == NORMAL:
-            draws = rng.normal(mu, sigma, spec.n)
-        else:
-            draws = rng.lognormal(mu, sigma, spec.n)
+        draw = partial(rng.normal if spec.kind == NORMAL else rng.lognormal, mu, sigma)
+    try:
+        draws = draw(spec.n)
+    except (MemoryError, ValueError, OverflowError) as exc:  # too many draws to allocate
+        raise InvalidParams(f"cannot allocate {spec.n} draws") from exc
     return validate_key_array(draws, FLOAT_MODE)
 
 
@@ -119,10 +122,10 @@ def read_sosd(path, mode: str = INT_MODE) -> KeyArray:
     if len(blob) != 8 + 8 * n:
         raise TruncatedFile(f"{path}: expected {8 + 8 * n} bytes for n={n}, got {len(blob)}")
     dtype = "<u8" if mode == INT_MODE else "<f8"
-    keys = np.frombuffer(blob, dtype=dtype, count=n, offset=8)
-    if np.any(keys[:-1] > keys[1:]):
+    keys, was_sorted = _validated(np.frombuffer(blob, dtype=dtype, count=n, offset=8), mode)
+    if not was_sorted:
         warnings.warn(f"{path}: keys not sorted; sorting", UnsortedFileWarning, stacklevel=2)
-    return validate_key_array(keys, mode)
+    return keys
 
 
 def write_sosd(path, A: KeyArray) -> None:

@@ -25,7 +25,7 @@ from .errors import (
     InvalidWidth,
     SupportViolation,
 )
-from .index import _cell_counts
+from .index import _cell_counts, _count_sorted
 
 HISTOGRAM = "histogram"
 KERNEL = "kernel"
@@ -136,8 +136,9 @@ def log_error_entropy_bound(
 def fd_bin_width(A: KeyArray) -> float:
     """Freedman-Diaconis histogram bin width 2*IQR / n^(1/3).
 
-    The IQR uses linear-interpolation quantiles.  A zero IQR falls back to
-    (range)/ceil(sqrt(n)) with a :class:`DegenerateIqrWarning`.
+    The IQR uses linear-interpolation quantiles, each read from its two
+    neighbouring sorted keys.  A zero IQR falls back to (range)/ceil(sqrt(n))
+    with a :class:`DegenerateIqrWarning`.
 
     Raises:
         InvalidParams: n < 4.
@@ -146,12 +147,11 @@ def fd_bin_width(A: KeyArray) -> float:
     n = A.n
     if n < 4:
         raise InvalidParams(f"bin-width rule needs n >= 4, got {n}")
-    vals = A.keys.astype(np.float64, copy=False)
-    q25, q75 = np.quantile(vals, [0.25, 0.75])
+    q25, q75 = (_sorted_quantile(A.keys, q) for q in (0.25, 0.75))
     iqr = float(q75 - q25)
     if iqr > 0.0:
         return 2.0 * iqr / n ** (1.0 / 3.0)
-    span = float(vals[-1]) - float(vals[0])
+    span = float(A.keys[-1]) - float(A.keys[0])
     if span <= 0.0:
         raise DegenerateIQR("all keys equal; no bin width is meaningful")
     warnings.warn(
@@ -160,6 +160,18 @@ def fd_bin_width(A: KeyArray) -> float:
         stacklevel=2,
     )
     return span / math.ceil(math.sqrt(n))
+
+
+def _sorted_quantile(keys: np.ndarray, q: float) -> np.floating:
+    """``np.quantile(keys, q)`` of sorted ``keys``, from the two keys it interpolates.
+
+    numpy's linear method sits at position (n - 1)*q, between keys[prev] and
+    keys[prev + 1]; the quantile of that pair at the fractional part runs the
+    same interpolation.  Needs q < 1.
+    """
+    pos = (len(keys) - 1) * q
+    prev = math.floor(pos)
+    return np.quantile(keys[prev:prev + 2].astype(np.float64), pos - prev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +223,12 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     """
     if not (width > 0.0 and math.isfinite(width)):
         raise InvalidWidth(f"bin width must be positive and finite, got {width}")
-    vals = A.keys.astype(np.float64, copy=False)
-    lo, hi = float(vals[0]), float(vals[-1])
+    lo, hi = float(A.keys[0]), float(A.keys[-1])
     nbins = max(1, math.ceil((hi - lo) / width))
     # Rounding can leave lo + nbins*width below x_max, or at lo for a width under the
     # keys' resolution; widen b so every key falls in a bin of positive width.
     b = max(lo + width * nbins, hi, math.nextafter(lo, math.inf))
-    counts = np.bincount(_histogram_bins(vals, lo, b, nbins), minlength=nbins)
+    counts = _count_sorted(A.keys, lambda v: _histogram_bins(v, lo, b, nbins), 0, nbins)
     norm = A.n * ((b - lo) / nbins)
     if not math.isfinite(int(counts.max()) / norm):
         raise InvalidWidth(f"bins {width} wide make the heights overflow")
@@ -297,7 +308,8 @@ def estimate_rho(
     kernel method uses :func:`kde_density`.
 
     Raises:
-        InvalidParams: draws < 1, seed < 0 or unknown method.
+        InvalidParams: draws < 1, seed < 0, unknown method, or more draws than
+            can be allocated.
     """
     if draws < 1:
         raise InvalidParams(f"need at least one draw, got {draws}")
@@ -310,6 +322,10 @@ def estimate_rho(
     else:
         raise InvalidParams(f"unknown density method {method!r}")
     rng = np.random.default_rng(seed)
-    z = A.keys[rng.integers(0, A.n, size=draws)]
+    try:
+        picks = rng.integers(0, A.n, size=draws)
+    except (MemoryError, ValueError, OverflowError) as exc:  # too many draws to allocate
+        raise InvalidParams(f"cannot allocate {draws} draws") from exc
+    z = A.keys[picks]
     value = float(np.sum(density(z)) / draws)
     return RhoEstimate(value=value, draws=draws, method=method, seed=seed)

@@ -1,7 +1,11 @@
 """Command-line behaviour: verbs, exit codes, reproducibility."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,21 @@ def _bad_k(verb, k, keys=tuple(range(10)), mode=INT_MODE):
     return argv
 
 
+def _huge_draws(verb):
+    # 10^15 draws cannot be allocated anywhere; never use a count that might be.
+    def argv(tmp_path):
+        path = tmp_path / "keys.sosd"
+        write_sosd(path, validate_key_array(list(range(10)), FLOAT_MODE))
+        tail = {
+            "generate": ["generate", "--kind", "uniform", "--n", str(10**15),
+                         "--out", str(tmp_path / "g.sosd")],
+            "rho": ["rho", "--data", str(path), "--mode", "float64", "--draws", str(10**15)],
+        }[verb]
+        return tail, str(10**15)
+
+    return argv
+
+
 _UNIFORM = {"kind": "uniform", "n": 1_000}
 
 
@@ -302,10 +321,13 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _bad_k("entropy", str(10**15)),
         _bad_k("entropy", str(2**63)),
         _bad_k("entropy", "3", keys=(0.0, 5e-324), mode=FLOAT_MODE),
+        _huge_draws("generate"),
+        _huge_draws("rho"),
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
-         "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow"],
+         "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow",
+         "generate_huge_n", "rho_huge_draws"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     argv, culprit = make_argv(tmp_path)
@@ -313,3 +335,12 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     assert code in (1, 3)
     assert err.startswith("error:")
     assert culprit in err.splitlines()[0]
+
+
+def test_python_m_espc_runs_the_cli():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "espc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: espc")

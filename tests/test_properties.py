@@ -10,18 +10,30 @@ The batched lookup equals the scalar one, rank and comparisons, on query
 arrays of float64 (either key mode) and uint64 (integer keys).  The cell
 probabilities are the occupancies the index's slots encode.  Validation
 sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
-histogram density is positive at every key it was fitted to.
+histogram density is positive at every key it was fitted to.  Counting
+sorted keys by bisection gives the counts of one pass over every key, and
+the Freedman-Diaconis width reads the quartiles numpy computes.
 """
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from espc.core import FLOAT_MODE, INT_MODE, int_key_queries, rank_bruteforce, validate_key_array
-from espc.errors import IndexMismatch, InvalidIndexFile, InvalidK
+from espc.errors import (
+    DegenerateIQR,
+    DegenerateIqrWarning,
+    IndexMismatch,
+    InvalidIndexFile,
+    InvalidK,
+)
 from espc.index import (
+    _bin_starts,
+    _count_sorted,
+    assign_intervals,
     build_equal_probability,
     build_espc,
     deserialize_index,
@@ -31,7 +43,7 @@ from espc.index import (
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search, exponential_search_many
-from espc.stats import histogram_density, partition_probabilities
+from espc.stats import _histogram_bins, fd_bin_width, histogram_density, partition_probabilities
 
 hypothesis = pytest.importorskip("hypothesis")
 given, example, st = hypothesis.given, hypothesis.example, hypothesis.strategies
@@ -270,3 +282,76 @@ def keys_and_bin_widths(draw):
 def test_histogram_density_is_positive_at_every_key(case):
     A, width = case
     assert np.all(histogram_density(A, width)(A.keys) > 0)
+
+
+# Sorted-key sets for the counting properties: duplicates, -0.0 next to +0.0, keys
+# near 2^64, and keys 1e15 + 0.125*j, where 0.125 is the float spacing.
+_sortable_keys = st.one_of(
+    _raw_keys,
+    st.lists(st.integers(0, 4000), min_size=1, max_size=300).map(
+        lambda steps: 1e15 + 0.125 * np.array(steps, dtype=np.float64)
+    ),
+).map(lambda raw: validate_key_array(raw, INT_MODE if raw.dtype == np.uint64 else FLOAT_MODE))
+
+
+def _bisected_counts(keys, bin_of, first, nbins):
+    starts = _bin_starts(keys, bin_of, np.arange(first + 1, first + nbins))
+    return np.diff(starts, prepend=0, append=len(keys))
+
+
+@given(_sortable_keys, st.integers(1, 300), st.floats(0.0, 2.0))
+def test_bisection_counts_equal_one_pass_over_every_key(A, k, pad):
+    keys = A.keys
+    lo, hi = float(keys[0]), float(keys[-1])
+    b = hi + pad * (hi - lo)  # histogram_density may widen the last bin past x_max
+    hypothesis.assume(lo < hi and 0.0 < (hi - lo) / k and math.isfinite(b))
+    step = (hi - lo) / k
+    cells = lambda v: assign_intervals(v, lo, step, k)  # noqa: E731
+    expected = np.bincount(cells(keys), minlength=k + 1)[1:]
+    assert _bisected_counts(keys, cells, 1, k).tobytes() == expected.tobytes()
+
+    bins = lambda v: _histogram_bins(v, lo, b, k)  # noqa: E731
+    expected = np.bincount(bins(keys), minlength=k)
+    assert _bisected_counts(keys, bins, 0, k).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "pooled", "offset"])
+def test_counts_agree_on_both_sides_of_the_bisection_switch(kind, monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 40_000
+    raw = {
+        "uniform": rng.random(n),
+        "pooled": rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 3.0]), n),
+        "offset": 1e15 + 0.125 * rng.integers(0, 3 * n, n),
+    }[kind]
+    keys = validate_key_array(raw, FLOAT_MODE).keys
+    lo, hi = float(keys[0]), float(keys[-1])
+    bisected = []
+
+    def counted(*args):
+        bisected.append(k)
+        return _bin_starts(*args)
+
+    monkeypatch.setattr("espc.index._bin_starts", counted)
+    for k in (1, 2, 50, 200, 400, 3000, n):
+        cells = lambda v: assign_intervals(v, lo, (hi - lo) / k, k)  # noqa: E731
+        expected = np.bincount(cells(keys), minlength=k + 1)[1:]
+        assert _count_sorted(keys, cells, 1, k).tobytes() == expected.tobytes()
+        bins = lambda v: _histogram_bins(v, lo, hi, k)  # noqa: E731
+        expected = np.bincount(bins(keys), minlength=k)
+        assert _count_sorted(keys, bins, 0, k).tobytes() == expected.tobytes()
+    assert 1 in bisected and n not in bisected  # both sides of the switch ran
+
+
+@given(_sortable_keys)
+def test_fd_width_reads_numpy_quartiles(A):
+    hypothesis.assume(A.n >= 4)
+    q25, q75 = np.quantile(A.keys.astype(np.float64), [0.25, 0.75])
+    iqr = float(q75 - q25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateIqrWarning)
+        if iqr > 0.0:
+            assert fd_bin_width(A) == 2.0 * iqr / A.n ** (1.0 / 3.0)
+        else:
+            with pytest.raises((DegenerateIqrWarning, DegenerateIQR)):
+                fd_bin_width(A)
