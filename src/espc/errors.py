@@ -42,7 +42,7 @@ class DegenerateIQR(EspcError, ValueError):
 
 
 class InvalidWidth(EspcError, ValueError):
-    """Histogram bin width must be positive."""
+    """Histogram bin width is not positive, finite and wide enough for the keys."""
 
 
 class InvalidParams(EspcError, ValueError):

@@ -56,69 +56,61 @@ class EspcIndex:
 def assign_intervals(values, lo: float, step: float, k: int) -> np.ndarray:
     """Interval numbers (1-based) for ``values`` under equal-length splits.
 
-    Uses the clamped ceiling rule ``clip(ceil((v - lo)/step), 1, k)``.
-    Membership everywhere in the package is decided by this formula, never
-    by recomputing boundary positions, so every value maps to exactly one
-    interval even under floating-point roundoff.  Counting sorted keys by
-    bisection (:func:`_bin_starts`) applies this rule to each key it probes.
+    Uses the clamped ceiling rule ``clip(ceil((v - lo)/step), 1, k)``: a value
+    on an inner boundary is in the lower interval, and values far outside clamp
+    to the end intervals.  Index cells, histogram bins and the kernel grid all
+    decide membership by this formula, never by recomputing boundary positions,
+    so every value maps to exactly one interval even under floating-point roundoff.
     """
     # One float buffer, updated in place; the outer asarray keeps 0-d input an array.
-    raw = np.asarray(np.asarray(values, dtype=np.float64) - lo)
-    raw /= step
+    with np.errstate(over="ignore"):  # clamped below
+        raw = np.asarray(np.asarray(values, dtype=np.float64) - lo)
+        raw /= step
     np.ceil(raw, out=raw)
     np.clip(raw, 1, k, out=raw)
     return raw.astype(np.int64)
 
 
-def _bin_starts(keys: np.ndarray, bin_of, bins: np.ndarray) -> np.ndarray:
-    """Position of the first of the sorted ``keys`` whose bin is at least each of ``bins``.
+def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int) -> np.ndarray:
+    """Position of the first of the sorted ``keys`` in or past each of cells 2, ..., k.
 
-    ``bin_of`` maps an array of keys to their bin numbers and is non-decreasing
-    in the key.  All ``bins`` are bisected in lockstep over ceil(log2 n) rounds,
-    each applying ``bin_of`` to one probed key per bin, so the rule decides
-    where a bin starts, not a computed boundary value.
+    All cells are bisected in lockstep over ceil(log2 n) rounds, each applying
+    :func:`assign_intervals` to one probed key per cell, so the rule decides
+    where a cell starts, not a computed boundary value.
     """
-    base = np.zeros(len(bins), dtype=np.int64)
+    cells = np.arange(2, k + 1)
+    base = np.zeros(k - 1, dtype=np.int64)
     size = len(keys)
     while size > 1:  # each answer lies in [base, base + size]
         half = size // 2
         mid = base + half
-        base = np.where(bin_of(keys[mid]) < bins, mid, base)
+        base = np.where(assign_intervals(keys[mid], lo, step, k) < cells, mid, base)
         size -= half
-    return base + (bin_of(keys[base]) < bins)
-
-
-def _count_sorted(keys: np.ndarray, bin_of, first: int, nbins: int) -> np.ndarray:
-    """Number of the sorted ``keys`` in each of bins first, ..., first + nbins - 1.
-
-    ``bin_of`` maps every key into those bins and is non-decreasing in the key.
-    Bisects for each bin's first position (:func:`_bin_starts`) when that is
-    cheaper than one ``bincount`` pass over every key.
-    """
-    n = len(keys)
-    # A bisection round costs about 1000 probes in numpy call overhead, and a probe
-    # about what a key costs in the full pass (numpy 2, 2 vCPUs): bisect where that
-    # comes to at most half the pass, so small arrays keep the pass.
-    if 2 * n.bit_length() * (nbins + 1024) < n:
-        starts = _bin_starts(keys, bin_of, np.arange(first + 1, first + nbins))
-        return np.diff(starts, prepend=0, append=n)
-    return np.bincount(bin_of(keys), minlength=first + nbins)[first:]
+    return base + (assign_intervals(keys[base], lo, step, k) < cells)
 
 
 def _cell_counts(keys: np.ndarray, lo: float, hi: float, k: int) -> tuple[np.ndarray, float]:
     """Counts of the sorted ``keys`` in ``k`` equal cells of [lo, hi], and the cell length.
 
+    Each key is in the cell :func:`assign_intervals` gives it; cell starts are bisected
+    for (:func:`_cell_starts`) where that is cheaper than one pass over every key.
     [lo, lo] is one cell of length 0.  Raises InvalidK as :func:`build_espc` does.
     """
     if not 1 <= k < 2**63:  # interval numbers are int64
         raise InvalidK(f"interval count must be in [1, 2^63), got {k}")
+    n = len(keys)
     if lo == hi:
-        return np.array([len(keys)]), 0.0
+        return np.array([n]), 0.0
     step = (hi - lo) / k
     if not 0.0 < step < math.inf:
         raise InvalidK(f"{k} intervals over [{lo}, {hi}] have length {step}")
     try:
-        return _count_sorted(keys, lambda v: assign_intervals(v, lo, step, k), 1, k), step
+        # A bisection round costs about 1000 probes in numpy call overhead, and a probe
+        # about what a key costs in the full pass (numpy 2, 2 vCPUs): bisect where that
+        # comes to at most half the pass, so small arrays keep the pass.
+        if 2 * n.bit_length() * (k + 1024) < n:
+            return np.diff(_cell_starts(keys, lo, step, k), prepend=0, append=n), step
+        return np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:], step
     except (MemoryError, ValueError, OverflowError) as exc:  # too many cells to allocate
         raise InvalidK(f"cannot allocate {k} interval slots") from exc
 
@@ -187,8 +179,7 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
     if idx.delta == 0.0:
         out = np.full(v.shape, idx.r[0])
     else:
-        with np.errstate(over="ignore"):  # values far outside clamp to the end intervals
-            ks = assign_intervals(v, idx.x_first, idx.delta, idx.K)
+        ks = assign_intervals(v, idx.x_first, idx.delta, idx.K)
         out = np.asarray(idx.r[ks - 1])  # a 0-d index gives a scalar
     out[v < idx.x_first] = 0.0
     out[v > idx.x_last] = float(idx.n)

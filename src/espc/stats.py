@@ -25,7 +25,7 @@ from .errors import (
     InvalidWidth,
     SupportViolation,
 )
-from .index import _cell_counts, _count_sorted
+from .index import _cell_counts, assign_intervals
 
 HISTOGRAM = "histogram"
 KERNEL = "kernel"
@@ -192,7 +192,9 @@ class DensityEstimate:
     def __call__(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.float64)
         if self.kind == HISTOGRAM:
-            out = self.heights[_histogram_bins(v, self.a, self.b, len(self.heights))]
+            nbins = len(self.heights)
+            bins = assign_intervals(v, self.a, (self.b - self.a) / nbins, nbins)
+            out = self.heights.take(bins - 1, mode="clip")  # a NaN casts to INT64_MIN; masked
             return np.where((v >= self.a) & (v <= self.b), out, 0.0)
         return np.interp(v, self._grid(), self.heights, left=0.0, right=0.0)
 
@@ -206,30 +208,33 @@ class DensityEstimate:
         return np.linspace(self.a, self.b, len(self.heights))
 
 
-def _histogram_bins(v: np.ndarray, a: float, b: float, nbins: int) -> np.ndarray:
-    """Bin of each value among ``nbins`` equal bins of [a, b]: floor, clamped."""
-    width = (b - a) / nbins
-    return np.clip(np.floor((v - a) / width).astype(np.int64), 0, nbins - 1)
-
-
 def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     """Histogram density over [x_min, x_max] with bins about ``width`` wide.
 
-    The last bin is padded past x_max so every key lands in a bin; heights
-    are count/(n*(b - a)/nbins), making the total mass 1.
+    The bins are index cells, counted and read by :func:`espc.index.assign_intervals`
+    (a key on an inner edge is in the lower bin).  The last bin is padded past
+    x_max so every key lands in a bin; heights are count/(n*(b - a)/nbins),
+    making the total mass 1.
 
     Raises:
-        InvalidWidth: width <= 0 or not finite, or so small that the heights overflow.
+        InvalidWidth: width <= 0 or not finite, or so small that the bins number
+            2^63 or more, cannot be allocated, or overflow the heights.
     """
     if not (width > 0.0 and math.isfinite(width)):
         raise InvalidWidth(f"bin width must be positive and finite, got {width}")
     lo, hi = float(A.keys[0]), float(A.keys[-1])
-    nbins = max(1, math.ceil((hi - lo) / width))
+    bins = (hi - lo) / width
+    if not bins < 2**63:  # also infinite: bin numbers are int64
+        raise InvalidWidth(f"bin width {width} splits [{lo}, {hi}] into {bins:.3g} bins")
+    nbins = max(1, math.ceil(bins))
     # Rounding can leave lo + nbins*width below x_max, or at lo for a width under the
     # keys' resolution; widen b so every key falls in a bin of positive width.
     b = max(lo + width * nbins, hi, math.nextafter(lo, math.inf))
-    counts = _count_sorted(A.keys, lambda v: _histogram_bins(v, lo, b, nbins), 0, nbins)
-    norm = A.n * ((b - lo) / nbins)
+    try:
+        counts, step = _cell_counts(A.keys, lo, b, nbins)
+    except InvalidK as exc:
+        raise InvalidWidth(f"bin width {width} over [{lo}, {hi}]: {exc}") from exc
+    norm = A.n * step
     if not math.isfinite(int(counts.max()) / norm):
         raise InvalidWidth(f"bins {width} wide make the heights overflow")
     heights = counts / norm
@@ -240,37 +245,36 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
 def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     """Gaussian kernel density estimate of the key distribution.
 
-    Defaults to the normal-reference bandwidth 1.06 * std * n^(-1/5).
-    Evaluation interpolates a dense precomputed grid (binned convolution),
-    which keeps large-sample evaluation affordable; the grid is fine
-    enough that the approximation error is far below sampling noise.
+    Defaults to the normal-reference bandwidth 1.06 * std * n^(-1/5).  The keys are
+    counted into 2 048 index cells of [x_min - 4*bandwidth, x_max + 4*bandwidth] and
+    convolved with the kernel; evaluation interpolates that grid, which keeps
+    large-sample evaluation affordable and errs far below sampling noise.
 
     Raises:
-        InvalidParams: n < 2, or the bandwidth is not positive (e.g. all
-            keys equal and none supplied).
+        InvalidParams: n < 2, the bandwidth is not positive (e.g. all keys
+            equal and none supplied), or the padded range has no 2 048 cells
+            (its ends round to one float, or the cell length is 0 or infinite).
     """
     n = A.n
     if n < 2:
         raise InvalidParams(f"kernel estimate needs n >= 2, got {n}")
     vals = A.keys.astype(np.float64, copy=False)
     if bandwidth is None:
-        spread = float(np.std(vals, ddof=1))
-        bandwidth = 1.06 * spread * n ** (-0.2)
+        bandwidth = 1.06 * float(np.std(vals, ddof=1)) * n ** (-0.2)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise InvalidParams(f"bandwidth must be positive and finite, got {bandwidth}")
 
     pad = _KDE_TAIL_CUT * bandwidth
-    lo = float(vals[0]) - pad
-    hi = float(vals[-1]) + pad
+    lo, hi = float(vals[0]) - pad, float(vals[-1]) + pad
+    if not 0.0 < (hi - lo) / _KDE_GRID_SIZE < math.inf:
+        raise InvalidParams(f"bandwidth {bandwidth}: no {_KDE_GRID_SIZE} cells in [{lo}, {hi}]")
+    counts, _ = _cell_counts(A.keys, lo, hi, _KDE_GRID_SIZE)
     grid_x = np.linspace(lo, hi, _KDE_GRID_SIZE)
     step = grid_x[1] - grid_x[0]
-    counts, _ = np.histogram(vals, bins=_KDE_GRID_SIZE, range=(lo, hi))
     mass = counts / n
     half = min(int(math.ceil(pad / step)), (_KDE_GRID_SIZE - 1) // 2)
     offsets = np.arange(-half, half + 1) * step
-    kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2) / (
-        bandwidth * math.sqrt(2.0 * math.pi)
-    )
+    kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2) / (bandwidth * math.sqrt(2.0 * math.pi))
     heights = np.convolve(mass, kernel, mode="same")
     heights.setflags(write=False)
     return DensityEstimate(kind=KERNEL, a=lo, b=hi, heights=heights)
@@ -308,14 +312,16 @@ def estimate_rho(
     kernel method uses :func:`kde_density`.
 
     Raises:
-        InvalidParams: draws < 1, seed < 0, unknown method, or more draws than
-            can be allocated.
+        InvalidParams: draws < 1, seed < 0, unknown method, a bandwidth with
+            the histogram method, or more draws than can be allocated.
     """
     if draws < 1:
         raise InvalidParams(f"need at least one draw, got {draws}")
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got {seed}")
     if method == HISTOGRAM:
+        if bandwidth is not None:
+            raise InvalidParams(f"bandwidth {bandwidth} applies only to the {KERNEL} method")
         density = histogram_density(A, fd_bin_width(A))
     elif method == KERNEL:
         density = kde_density(A, bandwidth=bandwidth)

@@ -300,6 +300,15 @@ def _huge_draws(verb):
     return argv
 
 
+def _rho_on(keys, culprit, *flags):
+    def argv(tmp_path):
+        path = tmp_path / "keys.sosd"
+        write_sosd(path, validate_key_array(list(keys), FLOAT_MODE))
+        return ["rho", "--data", str(path), "--mode", "float64", *flags], culprit
+
+    return argv
+
+
 _UNIFORM = {"kind": "uniform", "n": 1_000}
 
 
@@ -323,11 +332,16 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _bad_k("entropy", "3", keys=(0.0, 5e-324), mode=FLOAT_MODE),
         _huge_draws("generate"),
         _huge_draws("rho"),
+        _rho_on([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 1e10], "bin width"),
+        _rho_on([0.0, 1e-300, 2e-300, 3e-300, 4e-300, 1e10], "bin width"),
+        _rho_on([1.0] * 4, "bandwidth", "--method", "kernel", "--bandwidth", "1e-300"),
+        _rho_on(range(10), "bandwidth", "--bandwidth", "0.1"),
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
          "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow",
-         "generate_huge_n", "rho_huge_draws"],
+         "generate_huge_n", "rho_huge_draws", "rho_bins_past_int64", "rho_infinite_bins",
+         "kernel_range_unsplittable", "histogram_bandwidth"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     argv, culprit = make_argv(tmp_path)

@@ -10,9 +10,10 @@ The batched lookup equals the scalar one, rank and comparisons, on query
 arrays of float64 (either key mode) and uint64 (integer keys).  The cell
 probabilities are the occupancies the index's slots encode.  Validation
 sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
-histogram density is positive at every key it was fitted to.  Counting
-sorted keys by bisection gives the counts of one pass over every key, and
-the Freedman-Diaconis width reads the quartiles numpy computes.
+histogram density is positive at every key it was fitted to, and its
+heights are the counts of its bins as index cells.  Counting sorted keys by
+bisection gives the counts of one pass over every key, and the
+Freedman-Diaconis width reads the quartiles numpy computes.
 """
 
 import math
@@ -31,8 +32,8 @@ from espc.errors import (
     InvalidK,
 )
 from espc.index import (
-    _bin_starts,
-    _count_sorted,
+    _cell_counts,
+    _cell_starts,
     assign_intervals,
     build_equal_probability,
     build_espc,
@@ -43,7 +44,7 @@ from espc.index import (
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search, exponential_search_many
-from espc.stats import _histogram_bins, fd_bin_width, histogram_density, partition_probabilities
+from espc.stats import fd_bin_width, histogram_density, partition_probabilities
 
 hypothesis = pytest.importorskip("hypothesis")
 given, example, st = hypothesis.given, hypothesis.example, hypothesis.strategies
@@ -284,6 +285,16 @@ def test_histogram_density_is_positive_at_every_key(case):
     assert np.all(histogram_density(A, width)(A.keys) > 0)
 
 
+@given(keys_and_bin_widths())
+def test_histogram_heights_are_the_cell_counts(case):
+    A, width = case
+    dens = histogram_density(A, width)
+    nbins = len(dens.heights)
+    cell = (dens.b - dens.a) / nbins
+    counts = np.bincount(assign_intervals(A.keys, dens.a, cell, nbins), minlength=nbins + 1)[1:]
+    assert dens.heights.tobytes() == (counts / (A.n * cell)).tobytes()
+
+
 # Sorted-key sets for the counting properties: duplicates, -0.0 next to +0.0, keys
 # near 2^64, and keys 1e15 + 0.125*j, where 0.125 is the float spacing.
 _sortable_keys = st.one_of(
@@ -294,25 +305,17 @@ _sortable_keys = st.one_of(
 ).map(lambda raw: validate_key_array(raw, INT_MODE if raw.dtype == np.uint64 else FLOAT_MODE))
 
 
-def _bisected_counts(keys, bin_of, first, nbins):
-    starts = _bin_starts(keys, bin_of, np.arange(first + 1, first + nbins))
-    return np.diff(starts, prepend=0, append=len(keys))
-
-
 @given(_sortable_keys, st.integers(1, 300), st.floats(0.0, 2.0))
 def test_bisection_counts_equal_one_pass_over_every_key(A, k, pad):
     keys = A.keys
     lo, hi = float(keys[0]), float(keys[-1])
-    b = hi + pad * (hi - lo)  # histogram_density may widen the last bin past x_max
+    b = hi + pad * (hi - lo)  # histogram_density may widen the last cell past x_max
     hypothesis.assume(lo < hi and 0.0 < (hi - lo) / k and math.isfinite(b))
-    step = (hi - lo) / k
-    cells = lambda v: assign_intervals(v, lo, step, k)  # noqa: E731
-    expected = np.bincount(cells(keys), minlength=k + 1)[1:]
-    assert _bisected_counts(keys, cells, 1, k).tobytes() == expected.tobytes()
-
-    bins = lambda v: _histogram_bins(v, lo, b, k)  # noqa: E731
-    expected = np.bincount(bins(keys), minlength=k)
-    assert _bisected_counts(keys, bins, 0, k).tobytes() == expected.tobytes()
+    for top in (hi, b):
+        step = (top - lo) / k
+        expected = np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:]
+        bisected = np.diff(_cell_starts(keys, lo, step, k), prepend=0, append=len(keys))
+        assert bisected.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["uniform", "pooled", "offset"])
@@ -330,16 +333,15 @@ def test_counts_agree_on_both_sides_of_the_bisection_switch(kind, monkeypatch):
 
     def counted(*args):
         bisected.append(k)
-        return _bin_starts(*args)
+        return _cell_starts(*args)
 
-    monkeypatch.setattr("espc.index._bin_starts", counted)
+    monkeypatch.setattr("espc.index._cell_starts", counted)
     for k in (1, 2, 50, 200, 400, 3000, n):
-        cells = lambda v: assign_intervals(v, lo, (hi - lo) / k, k)  # noqa: E731
-        expected = np.bincount(cells(keys), minlength=k + 1)[1:]
-        assert _count_sorted(keys, cells, 1, k).tobytes() == expected.tobytes()
-        bins = lambda v: _histogram_bins(v, lo, hi, k)  # noqa: E731
-        expected = np.bincount(bins(keys), minlength=k)
-        assert _count_sorted(keys, bins, 0, k).tobytes() == expected.tobytes()
+        for top in (hi, hi + 0.37 * (hi - lo)):  # a histogram's last cell may pass x_max
+            step = (top - lo) / k
+            expected = np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:]
+            counts, cell = _cell_counts(keys, lo, top, k)
+            assert cell == step and counts.tobytes() == expected.tobytes()
     assert 1 in bisected and n not in bisected  # both sides of the switch ran
 
 

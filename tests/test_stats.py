@@ -175,9 +175,11 @@ class TestBinWidth:
 
 class TestHistogramDensity:
     def test_hand_heights(self):
+        # Bins [0.1, 0.6] and (0.6, 1.1]: key 0.6 sits on the edge and, as in
+        # the index's cells, belongs to the lower bin.
         A = validate_key_array([0.1, 0.3, 0.6, 0.8], FLOAT_MODE)
         dens = histogram_density(A, 0.5)
-        np.testing.assert_allclose(dens.heights, [1.0, 1.0])
+        np.testing.assert_allclose(dens.heights, [1.5, 0.5])
 
     def test_single_bin(self):
         A = validate_key_array([0.0, 1.0], FLOAT_MODE)
@@ -199,11 +201,25 @@ class TestHistogramDensity:
         assert dens(1.0) > 0
         assert dens(-0.01) == 0.0
         assert dens(float(dens.b) + 0.01) == 0.0
+        far = np.array([-1.7e308, -1e300, 1e300, 1.7e308])  # no cast or overflow warning
+        assert dens(far).tolist() == [0.0] * 4
 
     def test_invalid_width(self):
         A = validate_key_array([0.0, 1.0], FLOAT_MODE)
         with pytest.raises(InvalidWidth):
             histogram_density(A, 0.0)
+
+    @pytest.mark.parametrize(
+        "keys, width",
+        [
+            ([0.0, 1e10], 1e-10),  # 10^20 bins: past int64
+            ([0.0, 1e10], 1e-300),  # an infinite bin count
+            ([0.0, 1.0], 1e-15),  # 10^15 bins cannot be allocated anywhere
+        ],
+    )
+    def test_too_many_bins_raise(self, keys, width):
+        with pytest.raises(InvalidWidth):
+            histogram_density(validate_key_array(keys, FLOAT_MODE), width)
 
     def test_overflowing_heights_raise(self):
         # One key in a bin 5e-324 wide would have height 1/5e-324 = inf.
@@ -248,6 +264,18 @@ class TestKernelDensity:
         with pytest.raises(InvalidParams):
             kde_density(A)
         assert kde_density(A, bandwidth=0.1)(2.0) > 0
+
+    @pytest.mark.parametrize(
+        "keys, bandwidth",
+        [
+            ([1.0] * 4, 1e-300),  # 1 - 4e-300 rounds to 1
+            ([1e300, 1e300], 1.0),  # 1e300 + 4 rounds to 1e300
+            ([0.0, 0.0], 1e-322),  # 7.9e-322 / 2048 underflows to 0
+        ],
+    )
+    def test_padded_range_that_cannot_be_split(self, keys, bandwidth):
+        with pytest.raises(InvalidParams, match="bandwidth"):
+            kde_density(validate_key_array(keys, FLOAT_MODE), bandwidth=bandwidth)
 
 
 class TestRhoEstimator:
@@ -318,3 +346,5 @@ class TestRhoEstimator:
             estimate_rho(keys, 0, HISTOGRAM)
         with pytest.raises(InvalidParams):
             estimate_rho(keys, 10, "splines")
+        with pytest.raises(InvalidParams, match="bandwidth"):
+            estimate_rho(keys, 10, HISTOGRAM, bandwidth=0.1)
