@@ -7,7 +7,10 @@ and corrects it to the exact rank with an exponential search.  Build cost
 is O(K + min(n, K log n)); lookup cost is O(log error).
 
 The flat and two-layer indexes share one lookup path, :func:`_lookup`; they
-differ only in how they predict the start of the search.
+differ only in how they predict the start of the search.  It works on plain
+``(rank, comparisons)`` pairs, locates through :func:`_cell` and corrects
+through :func:`espc.search._gallop`, so each public lookup builds exactly one
+:class:`~espc.search.SearchOutcome`.
 :func:`evaluate_rank_many` runs the flat lookup on many queries in lockstep.
 """
 
@@ -28,7 +31,7 @@ from .errors import (
     InvalidPolicyParams,
     OutOfRange,
 )
-from .search import SearchOutcome, exponential_search, exponential_search_many
+from .search import SearchOutcome, _gallop, exponential_search_many
 
 MAGIC = b"ESPC1"
 SLOT_BYTES = 8
@@ -143,6 +146,11 @@ def locate_interval(idx: EspcIndex, q) -> int:
     qf = float(q)
     if not idx.x_first <= qf <= idx.x_last:  # NaN fails this too
         raise OutOfRange(f"{q!r} outside [{idx.x_first}, {idx.x_last}]")
+    return _cell(idx, qf)
+
+
+def _cell(idx: EspcIndex, qf: float) -> int:
+    """:func:`locate_interval` of a float ``qf`` already checked to be in [x_first, x_last]."""
     if idx.delta == 0.0:
         return 1
     k = math.ceil((qf - idx.x_first) / idx.delta)
@@ -196,30 +204,34 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
     Raises:
         IndexMismatch: index was built over an array of other length or key range.
         OutOfRange: q is NaN.
+        StartOutOfRange: a slot outside [0, n], which only a hand-built index holds.
     """
-    return _lookup(idx, A, q, idx.x_first, idx.x_last, _flat_start)
+    return tuple.__new__(SearchOutcome, _lookup(idx, A, q, idx.x_first, idx.x_last, _flat_start))
 
 
 def _flat_start(idx: EspcIndex, q) -> tuple[int, int]:
-    return math.ceil(idx.r.item(locate_interval(idx, q) - 1)), 0
+    return math.ceil(idx.r.item(_cell(idx, float(q)) - 1)), 0
 
 
 def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_of):
-    """Predict-then-correct body shared by both index types.
+    """Predict-then-correct body shared by both index types, as a ``(rank, comparisons)`` pair.
 
-    ``start_of(index, q)`` returns the start and the comparisons it cost.
+    ``start_of(index, q)`` returns the start and the comparisons it cost; it
+    sees only queries inside the keys, so it need not check the range.
     ``x_first``/``x_last`` are the built key range as floats (None: unchecked).
+    Raises what :func:`evaluate_rank` raises.
     """
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     n, lo, hi = _built_over(index, A, x_first, x_last)
-    if q < lo:
-        return SearchOutcome(0, 1)
-    if q > hi:
-        return SearchOutcome(n, 2)
+    if not lo <= q <= hi:
+        if q < lo:
+            return 0, 1
+        if q > hi:
+            return n, 2
+        raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
     start, cost = start_of(index, q)
-    rank, comparisons = exponential_search(A, start, q)
-    return SearchOutcome(rank, 2 + cost + comparisons)
+    return _gallop(A._view, start, q, 2 + cost)
 
 
 def _built_over(index, A: KeyArray, x_first: float, x_last: float | None):
@@ -384,13 +396,14 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
         IndexMismatch: index was built over an array of other length or first key.
         OutOfRange: q is NaN.
     """
-    return _lookup(h, A, q, h.top.x_first, None, _hier_start)
+    return tuple.__new__(SearchOutcome, _lookup(h, A, q, h.top.x_first, None, _hier_start))
 
 
 def _hier_start(h: HierIndex, q) -> tuple[int, int]:
-    top = evaluate_rank(h.top, h.boundaries, q)
-    # top.rank >= 1 because boundaries[0] == x_min <= q.
-    return min(math.ceil((top.rank - 0.5) * h.n / h.K), h.n), top.comparisons
+    top = h.top
+    bucket, comparisons = _lookup(top, h.boundaries, q, top.x_first, top.x_last, _flat_start)
+    # bucket >= 1 because boundaries[0] == x_min <= q.
+    return min(math.ceil((bucket - 0.5) * h.n / h.K), h.n), comparisons
 
 
 # --- serialization ----------------------------------------------------------

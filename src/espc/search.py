@@ -4,6 +4,9 @@ Both searches return the same rank as :func:`espc.core.rank_bruteforce`
 (count of keys <= q, rightmost tie) together with the number of key
 comparisons performed.  Comparison counts are the machine-independent cost
 proxy used throughout the benchmark harness; index arithmetic is free.
+Each public search builds one :class:`SearchOutcome`; its loops live in the
+private kernels :func:`_gallop` and :func:`_bisect`, which return plain
+``(rank, comparisons)`` pairs and which the index lookups call directly.
 :func:`exponential_search_many` runs many searches in lockstep with the
 same probes, so its ranks and counts equal the scalar ones.
 """
@@ -33,7 +36,7 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     view = A._view
-    return _bisect(view, 0, len(view), q, 0)
+    return tuple.__new__(SearchOutcome, _bisect(view, 0, len(view), q, 0))
 
 
 def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
@@ -43,18 +46,28 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     bracketed, then binary-searches the bracket.  With displacement
     eps = |rank(q) - i| the cost is at most 2*ceil(log2(eps + 2)) + c
     comparisons for a small fixed c (c = 4 here), so a good start makes
-    the search cheap regardless of n.
+    the search cheap regardless of n.  The search itself is :func:`_gallop`.
 
     Raises:
         StartOutOfRange: ``i`` outside [0, n].
     """
-    keys = A._view
+    if isinstance(q, np.floating):
+        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
+    return tuple.__new__(SearchOutcome, _gallop(A._view, i, q, 0))
+
+
+def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:
+    """:func:`exponential_search` over the probe view ``keys``, adding to ``comparisons``.
+
+    ``q`` must compare exactly with the keys (a Python scalar, not a numpy float).
+
+    Raises:
+        StartOutOfRange: ``i`` outside [0, n]; a negative ``i`` would index
+            the view from its end.
+    """
     n = len(keys)
     if not 0 <= i <= n:
         raise StartOutOfRange(f"start {i} outside [0, {n}]")
-    if isinstance(q, np.floating):
-        q = float(q)
-    comparisons = 0
 
     go_right = False
     if i < n:
@@ -88,7 +101,7 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
             step *= 2
 
     if lo == hi:
-        return SearchOutcome(lo, comparisons)
+        return lo, comparisons
     return _bisect(keys, lo, hi, q, comparisons)
 
 
@@ -170,7 +183,7 @@ def _bisect_many(keys, lo, hi, q, comparisons) -> np.ndarray:
     return lo
 
 
-def _bisect(keys, lo: int, hi: int, q, comparisons: int) -> SearchOutcome:
+def _bisect(keys, lo: int, hi: int, q, comparisons: int) -> tuple[Rank, int]:
     """Rank of ``q`` known to lie in [lo, hi]; adds one comparison per probe."""
     while lo < hi:
         mid = (lo + hi) // 2
@@ -179,4 +192,4 @@ def _bisect(keys, lo: int, hi: int, q, comparisons: int) -> SearchOutcome:
             lo = mid + 1
         else:
             hi = mid
-    return SearchOutcome(lo, comparisons)
+    return lo, comparisons

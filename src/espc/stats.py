@@ -23,6 +23,7 @@ from .errors import (
     InvalidK,
     InvalidParams,
     InvalidWidth,
+    OutOfRange,
     SupportViolation,
 )
 from .index import _cell_counts, assign_intervals
@@ -181,7 +182,8 @@ class DensityEstimate:
     ``heights`` sit on an equal-spaced grid over [a, b]: one per bin of a
     ``histogram`` step function, or the ``kernel`` values at
     ``np.linspace(a, b, len(heights))``, interpolated.  Calling the instance
-    evaluates the density (vectorized, >= 0 everywhere, 0 outside [a, b]).
+    evaluates the density (vectorized, >= 0 everywhere, 0 outside [a, b]);
+    a NaN value raises :class:`~espc.errors.OutOfRange`.
     """
 
     kind: str
@@ -191,10 +193,12 @@ class DensityEstimate:
 
     def __call__(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.float64)
+        if np.isnan(v).any():
+            raise OutOfRange("NaN has no density")
         if self.kind == HISTOGRAM:
             nbins = len(self.heights)
             bins = assign_intervals(v, self.a, (self.b - self.a) / nbins, nbins)
-            out = self.heights.take(bins - 1, mode="clip")  # a NaN casts to INT64_MIN; masked
+            out = self.heights.take(bins - 1)
             return np.where((v >= self.a) & (v <= self.b), out, 0.0)
         return np.interp(v, self._grid(), self.heights, left=0.0, right=0.0)
 
@@ -252,8 +256,9 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
 
     Raises:
         InvalidParams: n < 2, the bandwidth is not positive (e.g. all keys
-            equal and none supplied), or the padded range has no 2 048 cells
-            (its ends round to one float, or the cell length is 0 or infinite).
+            equal and none supplied), the padded range has no 2 048 cells
+            (its ends round to one float, or the cell length is 0 or infinite),
+            or the kernel's widest offset, in bandwidths, overflows its square.
     """
     n = A.n
     if n < 2:
@@ -273,6 +278,10 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     step = grid_x[1] - grid_x[0]
     mass = counts / n
     half = min(int(math.ceil(pad / step)), (_KDE_GRID_SIZE - 1) // 2)
+    widest = half * float(step) / float(bandwidth)  # the largest of offsets / bandwidth
+    if not widest * widest < math.inf:
+        raise InvalidParams(f"bandwidth {bandwidth}: kernel offsets of {widest:.3g} "
+                            "bandwidths overflow their square")
     offsets = np.arange(-half, half + 1) * step
     kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2) / (bandwidth * math.sqrt(2.0 * math.pi))
     heights = np.convolve(mass, kernel, mode="same")

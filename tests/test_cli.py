@@ -335,13 +335,14 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _rho_on([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 1e10], "bin width"),
         _rho_on([0.0, 1e-300, 2e-300, 3e-300, 4e-300, 1e10], "bin width"),
         _rho_on([1.0] * 4, "bandwidth", "--method", "kernel", "--bandwidth", "1e-300"),
+        _rho_on([1.0, 1.25, 1.5, 2.0], "bandwidth", "--method", "kernel", "--bandwidth", "1e-300"),
         _rho_on(range(10), "bandwidth", "--bandwidth", "0.1"),
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
          "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow",
          "generate_huge_n", "rho_huge_draws", "rho_bins_past_int64", "rho_infinite_bins",
-         "kernel_range_unsplittable", "histogram_bandwidth"],
+         "kernel_range_unsplittable", "kernel_offsets_overflow", "histogram_bandwidth"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):
     argv, culprit = make_argv(tmp_path)

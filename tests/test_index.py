@@ -17,10 +17,12 @@ from espc.errors import (
     InvalidParams,
     InvalidPolicyParams,
     OutOfRange,
+    StartOutOfRange,
 )
 from espc.index import (
     HEADER_BYTES,
     SLOT_BYTES,
+    EspcIndex,
     SizingPolicy,
     approximation_error,
     assign_intervals,
@@ -177,13 +179,22 @@ class TestEvaluateRank:
                 evaluate_rank(idx, validate_key_array(other, FLOAT_MODE), 2.5)
 
     def test_nan_query_raises_out_of_range(self):
-        A = _four_keys()
+        for A in (_four_keys(), validate_key_array([0, 1, 2, 3], INT_MODE)):
+            for nan in (math.nan, np.float64("nan")):
+                with pytest.raises(OutOfRange):
+                    evaluate_rank(build_espc(A, 2), A, nan)
+                with pytest.raises(OutOfRange):
+                    evaluate_rank_hier(build_equal_probability(A, 2, 1), A, nan)
         with pytest.raises(OutOfRange):
-            evaluate_rank(build_espc(A, 2), A, math.nan)
-        with pytest.raises(OutOfRange):
-            evaluate_rank_hier(build_equal_probability(A, 2, 1), A, math.nan)
-        with pytest.raises(OutOfRange):
-            predict_many(build_espc(A, 2), [1.0, math.nan])
+            predict_many(build_espc(_four_keys(), 2), [1.0, math.nan])
+
+    @pytest.mark.parametrize("slot", [-3.0, 7.0])
+    def test_slot_outside_the_ranks_raises_start_out_of_range(self, slot):
+        # Loading refuses such a slot; built by hand, the lookup must still refuse
+        # its start rather than read the keys from the end.
+        idx = EspcIndex(K=1, delta=3.0, x_first=0.0, x_last=3.0, n=4, r=np.array([slot]))
+        with pytest.raises(StartOutOfRange):
+            evaluate_rank(idx, _four_keys(), 1.5)
 
     def test_exactness_random_with_boundary_adversaries(self):
         rng = np.random.default_rng(25)

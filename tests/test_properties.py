@@ -3,7 +3,9 @@
 Key sets cover unsigned integers near 2^64 and near 0, heavy duplicates,
 all-equal keys and finite floats of any magnitude; queries are keys,
 neighbours of keys and arbitrary values on both sides of the key range, as
-Python or as numpy scalars.  Serialized indexes round-trip, and a corrupted
+Python or as numpy scalars.  Inside the keys, a lookup's comparisons are
+those of the scalar exponential search from its start plus its own checks.
+Serialized indexes round-trip, and a corrupted
 one is rejected at load, or it no longer matches the keys, or it gives
 exact ranks.
 The batched lookup equals the scalar one, rank and comparisons, on query
@@ -41,6 +43,7 @@ from espc.index import (
     evaluate_rank,
     evaluate_rank_hier,
     evaluate_rank_many,
+    predict,
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search, exponential_search_many
@@ -154,6 +157,30 @@ def test_hier_lookup_matches_oracle(data, k, k_top):
         return
     for q in queries:
         assert evaluate_rank_hier(h, A, q).rank == rank_bruteforce(A, q)
+
+
+def _inside(A, queries):
+    """The queries within [x_min, x_max], compared as the lookups compare them."""
+    lo, hi = A.x_min, A.x_max
+    return [q for q in queries if lo <= (float(q) if isinstance(q, np.floating) else q) <= hi]
+
+
+@given(arrays_and_queries(), st.integers(1, 80), st.integers(1, 20))
+def test_lookups_count_what_the_scalar_search_counts(data, k, k_top):
+    # Inside the keys, a lookup costs its two endpoint checks, the top lookup's
+    # comparisons if it has a top layer, and exponential_search from its start.
+    A, queries = data
+    idx = _buildable(build_espc, A, k)
+    h = _buildable(build_equal_probability, A, min(k, A.n), k_top)
+    for q in _inside(A, queries):
+        if idx is not None:
+            rank, cost = exponential_search(A, math.ceil(predict(idx, q)), q)
+            assert evaluate_rank(idx, A, q) == (rank, 2 + cost)
+        if h is not None:
+            bucket, top_cost = evaluate_rank(h.top, h.boundaries, q)
+            centre = min(math.ceil((bucket - 0.5) * A.n / h.K), A.n)
+            rank, cost = exponential_search(A, centre, q)
+            assert evaluate_rank_hier(h, A, q) == (rank, top_cost + 2 + cost)
 
 
 @given(arrays_and_queries())

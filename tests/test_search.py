@@ -7,6 +7,7 @@ import pytest
 
 from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
 from espc.errors import InvalidParams, StartOutOfRange
+from espc.index import build_equal_probability, build_espc, evaluate_rank, evaluate_rank_hier
 from espc.search import (
     SearchOutcome,
     binary_search_rank,
@@ -32,6 +33,20 @@ class TestSearchOutcome:
         assert (rank, comparisons) == (out.rank, out.comparisons) == (2, 4)
         with pytest.raises(AttributeError):
             out.rank = 3
+
+    @pytest.mark.parametrize("q", [-1.0, 0.0, 1.5, 2.0, 3.0, 4.0])  # below, inside, above
+    def test_every_lookup_returns_one(self, q):
+        A = validate_key_array([0.0, 1.0, 2.0, 3.0], FLOAT_MODE)
+        outs = [
+            evaluate_rank(build_espc(A, 2), A, q),
+            evaluate_rank_hier(build_equal_probability(A, 2, 1), A, q),
+            binary_search_rank(A, q),
+            # From start 2, q = 1.5 brackets rank 2 after two probes, without bisecting.
+            *(exponential_search(A, i, q) for i in range(A.n + 1)),
+        ]
+        for out in outs:
+            assert type(out) is SearchOutcome
+            assert out.rank == rank_bruteforce(A, q)
 
 
 class TestBinarySearch:

@@ -14,6 +14,7 @@ from espc.errors import (
     InvalidK,
     InvalidParams,
     InvalidWidth,
+    OutOfRange,
     SupportViolation,
 )
 from espc.stats import (
@@ -235,6 +236,13 @@ class TestHistogramDensity:
         assert np.all(dens(A.keys) > 0)
         assert dens.integral() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [math.nan, np.float64("nan"), [0.5, math.nan]])
+    def test_nan_raises_out_of_range(self, x):
+        dens = histogram_density(validate_key_array([0.0, 0.5, 1.0], FLOAT_MODE), 0.25)
+        with pytest.raises(OutOfRange):
+            dens(x)
+
 
 class TestKernelDensity:
     def test_positive_between_points(self):
@@ -276,6 +284,21 @@ class TestKernelDensity:
     def test_padded_range_that_cannot_be_split(self, keys, bandwidth):
         with pytest.raises(InvalidParams, match="bandwidth"):
             kde_density(validate_key_array(keys, FLOAT_MODE), bandwidth=bandwidth)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bandwidth", [1e-300, 5e-324])
+    def test_offsets_whose_square_overflows(self, bandwidth):
+        # One cell, about 1/2047 wide, is 4.9e296 bandwidths of 1e-300.
+        A = validate_key_array([1.0, 1.25, 1.5, 2.0], FLOAT_MODE)
+        with pytest.raises(InvalidParams, match="bandwidth"):
+            kde_density(A, bandwidth=bandwidth)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [math.nan, np.float64("nan"), [0.5, math.nan]])
+    def test_nan_raises_out_of_range(self, x):
+        dens = kde_density(validate_key_array([0.0, 0.5, 1.0], FLOAT_MODE), bandwidth=0.1)
+        with pytest.raises(OutOfRange):
+            dens(x)
 
 
 class TestRhoEstimator:
