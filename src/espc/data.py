@@ -154,7 +154,8 @@ def rescale_unit(A: KeyArray) -> KeyArray:
     span = float(vals[-1]) - lo
     if span <= 0.0:
         raise DegenerateRange("all keys equal; nothing to rescale")
-    scaled = (vals - lo) / span
+    scaled = vals - lo
+    scaled /= span
     scaled.setflags(write=False)
     return KeyArray(keys=scaled, mode=FLOAT_MODE)
 

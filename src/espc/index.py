@@ -124,15 +124,22 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     When all keys are equal the range is degenerate and the index stores a
     single interval with estimate n/2.
 
+    Memory: the key pass's temporaries (n-sized in :func:`assign_intervals`,
+    or K-sized when cell starts are bisected), then the int64 counts, turned
+    into running counts c in place, and one float64 slot array
+    r_k = (c_{k-1} + c_k)/2, about 2 * 8K bytes at the peak for K >= n.
+
     Raises:
         InvalidK: k outside [1, 2^63), (x_last - x_first)/k is not a positive
             finite float, or k slots cannot be allocated.
     """
     x_first, x_last = float(A.keys[0]), float(A.keys[-1])
     counts, delta = _cell_counts(A.keys, x_first, x_last, k)
-    counts = counts.astype(np.float64)
-    before = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
-    r = before + counts / 2.0
+    c = np.add.accumulate(counts, out=counts)  # np.cumsum without its dispatch cost
+    r = np.empty(len(c))  # sums of counts are exact integers below 2^53
+    r[0] = c[0]
+    np.add(c[:-1], c[1:], out=r[1:])
+    r *= 0.5
     r.setflags(write=False)
     return EspcIndex(K=len(r), delta=delta, x_first=x_first, x_last=x_last, n=A.n, r=r)
 
@@ -378,7 +385,7 @@ def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
     if not 1 <= k <= n:
         raise InvalidK(f"bucket count must be in [1, {n}], got {k}")
     positions = np.minimum(np.ceil(np.arange(k) * n / k).astype(np.int64), n - 1)
-    boundary_keys = A.keys[positions].copy()
+    boundary_keys = A.keys[positions]  # a fancy index returns a fresh array
     boundary_keys.setflags(write=False)
     boundaries = KeyArray(keys=boundary_keys, mode=A.mode)
     top = build_espc(boundaries, k_top)

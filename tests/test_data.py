@@ -132,6 +132,8 @@ class TestRescale:
         out = rescale_unit(A)
         np.testing.assert_array_equal(out.keys, [0.0, 0.5, 1.0])
         assert out.mode == FLOAT_MODE
+        assert not out.keys.flags.writeable
+        np.testing.assert_array_equal(A.keys, [10.0, 20.0, 30.0])  # scaled in a copy
 
     def test_unit_span_nearly_unchanged(self):
         A = generate(DatasetSpec("uniform", n=1000, seed=5))

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,18 @@ class TestBuild:
             np.testing.assert_allclose(idx.r, before + counts / 2.0)
             assert np.all(np.diff(idx.r) >= 0)
             assert idx.r[0] >= 0 and idx.r[-1] <= n
+
+    def test_large_k_build_peaks_below_two_and_a_half_slot_arrays(self):
+        A = validate_key_array(np.random.default_rng(22).random(2_000), FLOAT_MODE)
+        k = 10**6
+        tracemalloc.start()
+        try:
+            idx = build_espc(A, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert idx.K == k
+        assert peak < 2.5 * SLOT_BYTES * k  # the int64 counts and the float64 slots
 
 
 class TestLocateAndPredict:
@@ -363,6 +376,8 @@ class TestHierarchical:
         h = build_equal_probability(A, 2, 1)
         assert list(h.boundaries.keys) == [0.0, 5.0]
         assert h.top.n == 2
+        assert not h.boundaries.keys.flags.writeable
+        assert not np.shares_memory(h.boundaries.keys, A.keys)
 
     def test_single_bucket(self):
         A = validate_key_array(np.arange(10.0), FLOAT_MODE)

@@ -10,7 +10,9 @@ one is rejected at load, or it no longer matches the keys, or it gives
 exact ranks.
 The batched lookup equals the scalar one, rank and comparisons, on query
 arrays of float64 (either key mode) and uint64 (integer keys).  The cell
-probabilities are the occupancies the index's slots encode.  Validation
+probabilities are the occupancies the index's slots encode, and the slots
+are byte for byte the keys before each cell plus half those in it, on both
+sides of the bisection switch.  Validation
 sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
 histogram density is positive at every key it was fitted to, and its
 heights are the counts of its bins as index cells.  Counting sorted keys by
@@ -279,6 +281,48 @@ def test_cell_probabilities_are_the_slot_occupancies(A, k):
         before += counts[-1]
     expected = np.array(counts) / A.n
     assert partition_probabilities(A, a, b, k).p.tobytes() == expected.tobytes()
+
+
+_LARGE_N = 40_000  # _cell_counts bisects these keys for K <= 225 and makes one pass above
+
+
+@st.composite
+def keys_and_slot_counts(draw):
+    """Keys with ties (all equal among them) and a K on either side of the bisection switch."""
+    if draw(st.booleans()):
+        return draw(key_arrays), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+        raw = rng.choice(np.array(pool), _LARGE_N)
+    else:
+        raw = rng.random(_LARGE_N)
+    bisect = draw(st.booleans())
+    k = draw(st.integers(1, 225) if bisect else st.integers(226, _LARGE_N))
+    assert (2 * _LARGE_N.bit_length() * (k + 1024) < _LARGE_N) == bisect  # the switch's rule
+    return validate_key_array(raw, FLOAT_MODE), k
+
+
+_SWITCH_KEYS = validate_key_array(np.random.default_rng(23).random(_LARGE_N), FLOAT_MODE)
+
+
+@example((validate_key_array([0.25] * 7, FLOAT_MODE), 5))  # one cell of length 0
+@example((_SWITCH_KEYS, 225))
+@example((_SWITCH_KEYS, 226))
+@given(keys_and_slot_counts())
+def test_slots_are_the_counts_before_plus_half(case):
+    A, k = case
+    lo, hi = float(A.keys[0]), float(A.keys[-1])
+    idx = _buildable(build_espc, A, k)
+    if idx is None:
+        with pytest.raises(InvalidK):
+            _cell_counts(A.keys, lo, hi, k)
+        return
+    counts, _ = _cell_counts(A.keys, lo, hi, k)
+    before = np.concatenate(([0.0], np.cumsum(counts.astype(np.float64))[:-1]))
+    assert idx.K == len(idx.r) == (1 if lo == hi else k)
+    assert idx.r.dtype == np.float64 and not idx.r.flags.writeable
+    assert idx.r.tobytes() == (before + counts / 2.0).tobytes()
 
 
 @st.composite
