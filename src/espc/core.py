@@ -36,16 +36,17 @@ class KeyArray:
     doubles, the natural domain for synthetic data and rescaled keys).
     Duplicates are allowed and preserved.  Instances are safe to share
     across threads; the backing array is marked read-only.  Instances pickle
-    and deep-copy as ``validate_key_array(keys, mode)``, without the cached view.
+    and deep-copy as ``validate_key_array(keys, mode)``, without the cached record.
     """
 
     keys: np.ndarray
     mode: str
 
     @cached_property
-    def _view(self) -> memoryview:
-        """``keys`` for scalar probes: each item is the Python scalar ``keys.item`` gives."""
-        return memoryview(self.keys).toreadonly()
+    def _probe(self) -> tuple:
+        """``(view, n, first, last, float(first), float(last))``; ``view[i] == keys.item(i)``."""
+        v = memoryview(self.keys).toreadonly()
+        return v, len(v), v[0], v[-1], float(v[0]), float(v[-1])
 
     def __reduce__(self):
         return validate_key_array, (self.keys, self.mode)
@@ -85,8 +86,12 @@ def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
     return _validated(raw, mode)[0]
 
 
-def _validated(raw, mode: str) -> tuple[KeyArray, bool]:
-    """:func:`validate_key_array`, and whether ``raw`` was already sorted."""
+def _validated(raw, mode: str, frozen: bool = False) -> tuple[KeyArray, bool]:
+    """:func:`validate_key_array`, and whether ``raw`` was already sorted.
+
+    ``frozen``: ``raw`` is a read-only array that nothing can write to (such as
+    a view over ``bytes``), so sorted keys keep it as their storage, uncopied.
+    """
     if mode not in _DTYPES:
         raise InvalidParams(f"unknown key mode {mode!r}")
     arr = np.asarray(raw, dtype=_DTYPES[mode])
@@ -97,7 +102,10 @@ def _validated(raw, mode: str) -> tuple[KeyArray, bool]:
     if mode == FLOAT_MODE and not np.isfinite(arr).all():
         raise NonFiniteKey("float keys must be finite (no NaN/inf)")
     was_sorted = _is_sorted(arr)
-    arr = arr.copy() if was_sorted else np.sort(arr)
+    if not was_sorted:
+        arr = np.sort(arr)
+    elif not frozen:
+        arr = arr.copy()
     arr.setflags(write=False)
     return KeyArray(keys=arr, mode=mode), was_sorted
 

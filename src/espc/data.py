@@ -102,7 +102,8 @@ def read_sosd(path, mode: str = INT_MODE) -> KeyArray:
 
     ``mode`` selects how the 8-byte payload is interpreted (unsigned
     integers or IEEE doubles).  Unsorted files are sorted in memory with a
-    warning.
+    warning.  Sorted keys are a read-only view over the bytes read, so the
+    file is held in memory once.
 
     Raises:
         TruncatedFile: size differs from 8 + 8n, or a ``.gz`` stream is damaged.
@@ -122,7 +123,8 @@ def read_sosd(path, mode: str = INT_MODE) -> KeyArray:
     if len(blob) != 8 + 8 * n:
         raise TruncatedFile(f"{path}: expected {8 + 8 * n} bytes for n={n}, got {len(blob)}")
     dtype = "<u8" if mode == INT_MODE else "<f8"
-    keys, was_sorted = _validated(np.frombuffer(blob, dtype=dtype, count=n, offset=8), mode)
+    payload = np.frombuffer(blob, dtype=dtype, count=n, offset=8)  # read-only, as bytes are
+    keys, was_sorted = _validated(payload, mode, frozen=True)
     if not was_sorted:
         warnings.warn(f"{path}: keys not sorted; sorting", UnsortedFileWarning, stacklevel=2)
     return keys

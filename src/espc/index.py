@@ -6,11 +6,11 @@ lookup locates its interval with one division, reads the stored estimate,
 and corrects it to the exact rank with an exponential search.  Build cost
 is O(K + min(n, K log n)); lookup cost is O(log error).
 
-The flat and two-layer indexes share one lookup path, :func:`_lookup`; they
-differ only in how they predict the start of the search.  It works on plain
-``(rank, comparisons)`` pairs, locates through :func:`_cell` and corrects
-through :func:`espc.search._gallop`, so each public lookup builds exactly one
-:class:`~espc.search.SearchOutcome`.
+A flat lookup is one frame, :func:`_flat`: it checks the index and q against
+the keys' cached record (``KeyArray._probe``), locates through :func:`_cell` and
+corrects through :func:`espc.search._gallop`.  The two-layer lookup checks once
+and gallops from the bucket :func:`_flat` finds on its top layer.  Both pass plain
+``(rank, comparisons)`` pairs, so each builds one :class:`~espc.search.SearchOutcome`.
 :func:`evaluate_rank_many` runs the flat lookup on many queries in lockstep.
 """
 
@@ -70,7 +70,7 @@ def assign_intervals(values, lo: float, step: float, k: int) -> np.ndarray:
         raw = np.asarray(np.asarray(values, dtype=np.float64) - lo)
         raw /= step
     np.ceil(raw, out=raw)
-    np.clip(raw, 1, k, out=raw)
+    raw.clip(1, k, out=raw)  # one fused pass; the method skips np.clip's dispatch
     return raw.astype(np.int64)
 
 
@@ -213,42 +213,28 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
         OutOfRange: q is NaN.
         StartOutOfRange: a slot outside [0, n], which only a hand-built index holds.
     """
-    return tuple.__new__(SearchOutcome, _lookup(idx, A, q, idx.x_first, idx.x_last, _flat_start))
+    return tuple.__new__(SearchOutcome, _flat(idx, A, q))
 
 
-def _flat_start(idx: EspcIndex, q) -> tuple[int, int]:
-    return math.ceil(idx.r.item(_cell(idx, float(q)) - 1)), 0
-
-
-def _lookup(index, A: KeyArray, q, x_first: float, x_last: float | None, start_of):
-    """Predict-then-correct body shared by both index types, as a ``(rank, comparisons)`` pair.
-
-    ``start_of(index, q)`` returns the start and the comparisons it cost; it
-    sees only queries inside the keys, so it need not check the range.
-    ``x_first``/``x_last`` are the built key range as floats (None: unchecked).
-    Raises what :func:`evaluate_rank` raises.
-    """
+def _flat(idx: EspcIndex, A: KeyArray, q) -> tuple[int, int]:
+    """:func:`evaluate_rank` as a plain ``(rank, comparisons)`` pair, in one frame."""
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    n, lo, hi = _built_over(index, A, x_first, x_last)
+    keys, n, lo, hi, lo_f, hi_f = A._probe
+    if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
+        raise _mismatch(idx.n, A)
     if not lo <= q <= hi:
         if q < lo:
             return 0, 1
         if q > hi:
             return n, 2
         raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
-    start, cost = start_of(index, q)
-    return _gallop(A._view, start, q, 2 + cost)
+    return _gallop(keys, math.ceil(idx.r.item(_cell(idx, float(q)) - 1)), q, 2)
 
 
-def _built_over(index, A: KeyArray, x_first: float, x_last: float | None):
-    keys = A._view
-    n, lo, hi = len(keys), keys[0], keys[-1]
-    if index.n != n:
-        raise IndexMismatch(f"index holds n={index.n}, array has n={n}")
-    if float(lo) != x_first or (x_last is not None and float(hi) != x_last):
-        raise IndexMismatch(f"array keys [{lo}, {hi}] are not the keys the index was built over")
-    return n, lo, hi
+def _mismatch(built_n: int, A: KeyArray) -> IndexMismatch:
+    _, n, lo, hi, _, _ = A._probe
+    return IndexMismatch(f"index holds n={built_n}, not these n={n} keys in [{lo}, {hi}]")
 
 
 def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +255,9 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
         InvalidParams: the queries are not a 1-D numeric array, or are a list
             that numpy makes float64 though an integer in it is not a float64.
     """
-    n, lo, hi = _built_over(idx, A, idx.x_first, idx.x_last)
+    _, n, lo, hi, lo_f, hi_f = A._probe
+    if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
+        raise _mismatch(idx.n, A)
     raw = np.asarray(qs)
     if raw.ndim != 1 or raw.dtype.kind not in "biuf":  # "O": Python ints beyond 64 bits
         raise InvalidParams(f"queries must be a 1-D numeric array, got {raw.ndim}-D {raw.dtype}")
@@ -400,17 +388,25 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
     full array, and the reported comparisons are the sum of both layers.
 
     Raises:
-        IndexMismatch: index was built over an array of other length or first key.
+        IndexMismatch: index was built over an array of other length or first
+            key, or its top layer over other boundaries.
         OutOfRange: q is NaN.
     """
-    return tuple.__new__(SearchOutcome, _lookup(h, A, q, h.top.x_first, None, _hier_start))
-
-
-def _hier_start(h: HierIndex, q) -> tuple[int, int]:
-    top = h.top
-    bucket, comparisons = _lookup(top, h.boundaries, q, top.x_first, top.x_last, _flat_start)
+    if isinstance(q, np.floating):
+        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
+    keys, n, lo, hi, lo_f, _ = A._probe
+    if h.n != n or h.top.x_first != lo_f:
+        raise _mismatch(h.n, A)
+    if not lo <= q <= hi:
+        if q < lo:
+            return tuple.__new__(SearchOutcome, (0, 1))
+        if q > hi:
+            return tuple.__new__(SearchOutcome, (n, 2))
+        raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
     # bucket >= 1 because boundaries[0] == x_min <= q.
-    return min(math.ceil((bucket - 0.5) * h.n / h.K), h.n), comparisons
+    bucket, comparisons = _flat(h.top, h.boundaries, q)  # which checks top.n == K
+    start = min(math.ceil((bucket - 0.5) * n / h.top.n), n)
+    return tuple.__new__(SearchOutcome, _gallop(keys, start, q, 2 + comparisons))
 
 
 # --- serialization ----------------------------------------------------------

@@ -6,7 +6,7 @@ comparisons performed.  Comparison counts are the machine-independent cost
 proxy used throughout the benchmark harness; index arithmetic is free.
 Each public search builds one :class:`SearchOutcome`; its loops live in the
 private kernels :func:`_gallop` and :func:`_bisect`, which return plain
-``(rank, comparisons)`` pairs and which the index lookups call directly.
+``(rank, comparisons)`` pairs; the index lookups call them on ``KeyArray._probe``.
 :func:`exponential_search_many` runs many searches in lockstep with the
 same probes, so its ranks and counts equal the scalar ones.
 """
@@ -35,8 +35,8 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
     """
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    view = A._view
-    return tuple.__new__(SearchOutcome, _bisect(view, 0, len(view), q, 0))
+    keys, n = A._probe[:2]
+    return tuple.__new__(SearchOutcome, _bisect(keys, 0, n, q, 0))
 
 
 def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
@@ -53,7 +53,7 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     """
     if isinstance(q, np.floating):
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    return tuple.__new__(SearchOutcome, _gallop(A._view, i, q, 0))
+    return tuple.__new__(SearchOutcome, _gallop(A._probe[0], i, q, 0))
 
 
 def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:

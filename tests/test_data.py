@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ class TestKeyFiles:
         path.write_bytes(b"\0" * 4)
         with pytest.raises(TruncatedFile):
             read_sosd(path, INT_MODE)
+        path.write_bytes(struct.pack("<QQ", 2**61, 0))  # no 2^64-byte allocation is tried
+        with pytest.raises(TruncatedFile):
+            read_sosd(path, FLOAT_MODE)
+
+    def test_read_holds_the_file_once(self, tmp_path):
+        n = 2 * 10**6  # 16 MB of keys
+        path = tmp_path / "big.sosd"
+        write_sosd(path, validate_key_array(np.linspace(0.0, 1.0, n), FLOAT_MODE))
+        tracemalloc.start()
+        try:
+            A = read_sosd(path, FLOAT_MODE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A.n == n and A.keys[-1] == 1.0
+        assert peak < 1.25 * 8 * n  # the file's bytes and the key checks' masks
+        with pytest.raises(ValueError):  # the bytes under the keys cannot be written
+            A.keys.setflags(write=True)
 
     def test_zero_count(self, tmp_path):
         path = tmp_path / "zero.sosd"

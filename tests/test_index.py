@@ -24,6 +24,7 @@ from espc.index import (
     HEADER_BYTES,
     SLOT_BYTES,
     EspcIndex,
+    HierIndex,
     SizingPolicy,
     approximation_error,
     assign_intervals,
@@ -261,12 +262,20 @@ class TestEvaluateRank:
     def test_keys_pickle_and_deepcopy_after_a_lookup(self):
         for keys, mode in (([0.5, 1.5, 2.5, 2.5], FLOAT_MODE), ([3, 2**63, 2**64 - 1], INT_MODE)):
             A = validate_key_array(keys, mode)
-            idx = build_espc(A, 2)
-            want = evaluate_rank(idx, A, 2**63)  # caches the probe view
+            idx, h = build_espc(A, 2), build_equal_probability(A, 2, 2)
+            want = evaluate_rank(idx, A, 2**63)  # caches the probe record
+            want_hier = evaluate_rank_hier(h, A, 2**63)  # and the boundaries' record
             for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
                 assert B.mode == mode and np.array_equal(B.keys, A.keys)
                 assert B.keys.dtype == A.keys.dtype and not B.keys.flags.writeable
                 assert evaluate_rank(idx, B, 2**63) == want
+            for copied in (pickle.loads(pickle.dumps(idx)), copy.deepcopy(idx)):
+                assert evaluate_rank(copied, A, 2**63) == want
+            for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+                assert not copied.boundaries.keys.flags.writeable
+                assert evaluate_rank_hier(copied, A, 2**63) == want_hier
+                assert evaluate_rank(copied.top, copied.boundaries, 2**63) == evaluate_rank(
+                    h.top, h.boundaries, 2**63)
 
     def test_strided_keys_match_oracle(self):
         rng = np.random.default_rng(27)
@@ -434,6 +443,10 @@ class TestHierarchical:
         C = validate_key_array(np.arange(1.0, 11.0), FLOAT_MODE)  # same n, other first key
         with pytest.raises(IndexMismatch):
             evaluate_rank_hier(h, C, 5.0)
+        other = build_equal_probability(validate_key_array(np.arange(20.0), FLOAT_MODE), 2, 1)
+        for top in (other.top, build_espc(B, 1)):  # other last boundary, other bucket count
+            with pytest.raises(IndexMismatch):
+                evaluate_rank_hier(HierIndex(boundaries=h.boundaries, top=top, n=h.n), A, 5.0)
 
 
 class TestSerialization:
