@@ -89,7 +89,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def measure_space(idx: EspcIndex) -> int:
-    """Exact serialized size in bytes: 45-byte header plus 8 bytes per slot."""
+    """Exact serialized size in bytes: 45-byte header plus 4 bytes per slot."""
     return HEADER_BYTES + SLOT_BYTES * idx.K
 
 

@@ -42,8 +42,8 @@ def _small_cfg(**overrides):
 class TestMeasureSpace:
     def test_documented_sizes(self):
         keys = generate(DatasetSpec("uniform", n=2_000, seed=1))
-        assert measure_space(build_espc(keys, 1_000)) == 8_045
-        assert measure_space(build_espc(keys, 1)) == 45 + 8
+        assert measure_space(build_espc(keys, 1_000)) == 4_045
+        assert measure_space(build_espc(keys, 1)) == 45 + 4
 
     def test_linear_in_k(self):
         keys = generate(DatasetSpec("uniform", n=2_000, seed=1))
@@ -80,7 +80,7 @@ class TestRunErrorExperiment:
     def test_space_exactly_affine_across_grid(self):
         records = run_error_experiment(_small_cfg(k_grid=(100, 200, 400)))
         for rec in records:
-            assert rec.space_bytes == 45 + 8 * rec.k
+            assert rec.space_bytes == 45 + 4 * rec.k
 
     def test_deterministic_apart_from_clocks(self):
         a = run_error_experiment(_small_cfg())

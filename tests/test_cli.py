@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from espc.cli import dispatch
-from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
+from espc.core import FLOAT_MODE, INT_MODE, KeyArray, rank_bruteforce, validate_key_array
 from espc.data import read_sosd, write_sosd
-from espc.index import HEADER_BYTES, SLOT_BYTES
+from espc.index import HEADER_BYTES, MAX_KEYS, SLOT_BYTES
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ class TestGenerateBuildQuery:
         idx_path = str(tmp_path / "keys.espc")
         code, out, _ = _run(capsys, ["build", "--data", int_file, "--k", "4", "--out", idx_path])
         assert code == 0
-        assert "space_bytes=77" in out  # 45 + 8*4
+        assert "space_bytes=61" in out  # 45 + 4*4
 
         keys = read_sosd(int_file, INT_MODE)
         for q in (1, 2, 10, 19, 42):
@@ -70,6 +71,17 @@ class TestGenerateBuildQuery:
         )
         assert code == 1
         assert "error" in err.lower()
+
+    def test_too_many_keys_exits_one(self, tmp_path, capsys, monkeypatch):
+        from espc import cli as cli_mod
+
+        huge = KeyArray(keys=np.broadcast_to(0.5, MAX_KEYS + 1), mode=FLOAT_MODE)  # no allocation
+        monkeypatch.setattr(cli_mod, "read_sosd", lambda path, mode: huge)
+        code, _, err = _run(
+            capsys, ["build", "--data", "keys.sosd", "--k", "2", "--out", str(tmp_path / "x.espc")]
+        )
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_k_and_policy_conflict(self, tmp_path, capsys, int_file):
         code, _, _ = _run(
@@ -222,7 +234,7 @@ class TestUsage:
         idx_path = tmp_path / "keys.espc"
         assert dispatch(["build", "--data", int_file, "--k", "2", "--out", str(idx_path)]) == 0
         blob = bytearray(idx_path.read_bytes())
-        blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<d", 1e9)
+        blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<I", 10**9)
         idx_path.write_bytes(bytes(blob))
         code, _, err = _run(
             capsys, ["query", "--index", str(idx_path), "--data", int_file, "--q", "5"]

@@ -22,6 +22,8 @@ from espc.errors import (
 )
 from espc.index import (
     HEADER_BYTES,
+    MAGIC_V1,
+    MAX_KEYS,
     SLOT_BYTES,
     EspcIndex,
     HierIndex,
@@ -35,9 +37,11 @@ from espc.index import (
     evaluate_rank,
     evaluate_rank_hier,
     evaluate_rank_many,
+    load_index,
     locate_interval,
     predict,
     predict_many,
+    save_index,
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search
@@ -103,17 +107,43 @@ class TestBuild:
             assert np.all(np.diff(idx.r) >= 0)
             assert idx.r[0] >= 0 and idx.r[-1] <= n
 
-    def test_large_k_build_peaks_below_two_and_a_half_slot_arrays(self):
+    def test_large_k_build_peaks_below_13_bytes_per_cell(self):
         A = validate_key_array(np.random.default_rng(22).random(2_000), FLOAT_MODE)
         k = 10**6
         tracemalloc.start()
         try:
             idx = build_espc(A, k)
-            _, peak = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert idx.K == k
-        assert peak < 2.5 * SLOT_BYTES * k  # the int64 counts and the float64 slots
+        assert peak < 13 * k  # the int64 running counts and the uint32 slots
+        assert retained <= SLOT_BYTES * k + 1024  # the slots alone: nothing derived is kept
+
+    def test_key_limit(self):
+        # Broadcast views of one key allocate nothing; all-equal keys make one cell.
+        idx = build_espc(KeyArray(keys=np.broadcast_to(0.5, MAX_KEYS), mode=FLOAT_MODE), 4)
+        assert (idx.n, idx.K, idx.t.tolist()) == (2**31 - 1, 1, [2**31 - 1])
+        with pytest.raises(InvalidParams):
+            build_espc(KeyArray(keys=np.broadcast_to(0.5, MAX_KEYS + 1), mode=FLOAT_MODE), 4)
+        # Slots up to 2n = 2^32 - 2 read back exactly (built by hand: no keys exist).
+        t = np.array([MAX_KEYS, 2 * MAX_KEYS], dtype=np.uint32)
+        big = EspcIndex(K=2, delta=1.0, x_first=0.0, x_last=2.0, n=MAX_KEYS, t=t)
+        expected = [MAX_KEYS / 2, MAX_KEYS]
+        assert predict_many(big, [0.5, 1.5]).tolist() == [predict(big, 0.5), predict(big, 1.5)] == expected
+
+    def test_estimates_are_half_the_slots(self, tmp_path):
+        rng = np.random.default_rng(26)
+        A = validate_key_array(rng.random(300), FLOAT_MODE)
+        for k in (1, 7, 1_000):
+            idx = build_espc(A, k)
+            assert idx.t.dtype == np.uint32 and not idx.t.flags.writeable
+            r = idx.r
+            assert r.dtype == np.float64 and not r.flags.writeable
+            assert r is not idx.r  # computed on each access, never kept
+            np.testing.assert_array_equal(r, idx.t / 2)
+            save_index(idx, tmp_path / "idx.espc")
+            np.testing.assert_array_equal(load_index(tmp_path / "idx.espc").r, r)
 
 
 class TestLocateAndPredict:
@@ -171,7 +201,10 @@ class TestLocateAndPredict:
         np.testing.assert_array_equal(
             predict_many(idx, grid), [predict(idx, float(q)) for q in grid]
         )
-        assert predict_many(idx, 0.5) == predict(idx, 0.5)
+        for q in (-1.0, 0.5, 2.0):  # 0-d in, 0-d out
+            out = predict_many(idx, q)
+            assert out.shape == () and out == predict(idx, q)
+        assert predict_many(idx, []).shape == (0,)
 
 
 class TestEvaluateRank:
@@ -202,11 +235,11 @@ class TestEvaluateRank:
         with pytest.raises(OutOfRange):
             predict_many(build_espc(_four_keys(), 2), [1.0, math.nan])
 
-    @pytest.mark.parametrize("slot", [-3.0, 7.0])
+    @pytest.mark.parametrize("slot", [-6, 14])
     def test_slot_outside_the_ranks_raises_start_out_of_range(self, slot):
         # Loading refuses such a slot; built by hand, the lookup must still refuse
         # its start rather than read the keys from the end.
-        idx = EspcIndex(K=1, delta=3.0, x_first=0.0, x_last=3.0, n=4, r=np.array([slot]))
+        idx = EspcIndex(K=1, delta=3.0, x_first=0.0, x_last=3.0, n=4, t=np.array([slot]))
         with pytest.raises(StartOutOfRange):
             evaluate_rank(idx, _four_keys(), 1.5)
 
@@ -453,8 +486,8 @@ class TestSerialization:
     def test_layout_size(self):
         idx = build_espc(_four_keys(), 2)
         blob = serialize_index(idx)
-        assert len(blob) == HEADER_BYTES + SLOT_BYTES * 2
-        assert blob[:5] == b"ESPC1"
+        assert len(blob) == HEADER_BYTES + SLOT_BYTES * 2 == 45 + 4 * 2
+        assert blob[:5] == b"ESPC2"
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(29)
@@ -475,8 +508,36 @@ class TestSerialization:
         with pytest.raises(InvalidIndexFile):
             deserialize_index(serialize_index(idx)[:-1])
 
+    def test_loads_espc1_blobs(self):
+        # The earlier layout: the same header, then the estimates r as float64.
+        rng = np.random.default_rng(30)
+        for keys, k in ((rng.random(500), 64), ([7.0] * 5, 3), (_four_keys().keys, 2)):
+            idx = build_espc(validate_key_array(keys, FLOAT_MODE), k)
+            blob = MAGIC_V1 + struct.pack("<QQddd", idx.n, idx.K, idx.x_first, idx.x_last, idx.delta)
+            blob += struct.pack(f"<{idx.K}d", *(t / 2 for t in idx.t.tolist()))
+            loaded = deserialize_index(blob)
+            assert loaded.t.dtype == np.uint32
+            np.testing.assert_array_equal(loaded.r, idx.r)
+            assert serialize_index(loaded) == serialize_index(idx)
+            for bad in (0.25, -0.5, idx.n + 0.5, math.nan, math.inf):  # 2r not an integer in [0, 2n]
+                corrupt = bytearray(blob)
+                corrupt[HEADER_BYTES : HEADER_BYTES + 8] = struct.pack("<d", bad)
+                with pytest.raises(InvalidIndexFile):
+                    deserialize_index(bytes(corrupt))
+
+    def test_rejects_slots_that_count_no_partition(self):
+        header = b"ESPC2" + struct.pack("<QQddd", 3, 2, 0.0, 2.0, 1.0)
+        assert deserialize_index(header + struct.pack("<2I", 2, 5)).r.tolist() == [1.0, 2.5]
+        # [1.5, 1.5] is non-decreasing within [0, 3], but cell 2 would hold -3 keys.
+        for slots in ((3, 3), (2, 4), (2, 6), (7, 7)):
+            with pytest.raises(InvalidIndexFile):
+                deserialize_index(header + struct.pack("<2I", *slots))
+        big = b"ESPC2" + struct.pack("<QQddd", 2**31, 1, 0.0, 0.0, 0.0) + struct.pack("<I", 2**31)
+        with pytest.raises(InvalidIndexFile):  # n beyond MAX_KEYS
+            deserialize_index(big)
+
     def test_rejects_slot_out_of_range(self):
         blob = bytearray(serialize_index(build_espc(_four_keys(), 2)))
-        blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<d", 1e9)
+        blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<I", 10**9)
         with pytest.raises(InvalidIndexFile):
             deserialize_index(bytes(blob))
