@@ -137,11 +137,16 @@ def exact_ranks(A: KeyArray, queries) -> np.ndarray:
     where numpy alone would compare in float64.  The queries are searched in
     sorted order, in which numpy starts each search from the one before (about
     3x faster for 10^4 queries over 10^6 keys), and their ranks put back in place.
+
+    Raises:
+        InvalidParams: the queries are not a 1-D array.
     """
-    if A.mode != INT_MODE:
-        values, below = np.asarray(queries), None
-    else:
-        values, below, _ = int_key_queries(queries)
+    values = np.asarray(queries)
+    if values.ndim != 1:
+        raise InvalidParams(f"queries must be a 1-D array, got {values.ndim}-D")
+    below = None
+    if A.mode == INT_MODE:
+        values, below, _ = int_key_queries(values)
     order = np.argsort(values)
     ranks = np.empty(len(values), dtype=np.intp)
     ranks[order] = np.searchsorted(A.keys, values[order], side="right")
@@ -161,7 +166,8 @@ def int_key_queries(queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     value > key, or value == key and inexact.
 
     Returns:
-        (values, below, inexact): a uint64 array and two boolean masks.
+        (values, below, inexact): a uint64 array and two boolean masks, each of
+        the queries' shape (0-d included).
     """
     q = np.asarray(queries)
     if q.dtype.kind in "iu":
@@ -172,7 +178,7 @@ def int_key_queries(queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     above = q >= 2.0**64
     clamped = np.where(below | above, 0.0, q)
     floors = np.floor(clamped)
-    values = floors.astype(np.uint64)
+    values = np.asarray(floors.astype(np.uint64))  # np.floor makes 0-d input a scalar
     values[above] = _UINT64_MAX
     return values, below, above | (floors < clamped)
 

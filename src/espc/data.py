@@ -8,6 +8,7 @@ ending in ``.gz`` are compressed/decompressed transparently.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import warnings
 import zlib
@@ -165,18 +166,52 @@ def rescale_unit(A: KeyArray) -> KeyArray:
 def subsample(A: KeyArray, m: int, seed: int = 0) -> KeyArray:
     """m keys drawn uniformly without replacement, in key order; seeded.
 
-    The keys are gathered at the sorted drawn positions, so they need no
-    sort of their own: ``A.keys`` is non-decreasing.  The result holds the
-    same values as sorting the drawn keys, bit for bit unless ``A`` holds
-    both ``-0.0`` and ``+0.0``, which keep their order in ``A``.
+    Sequential sampling by skips (Vitter, CACM 1984), in O(m) time and memory:
+    each position of ``A`` is kept with probability p, a little above m/n, by
+    walking geometric gaps (:func:`_bernoulli_positions`), or every position
+    when p reaches 1; a uniform choice of the surplus over m is dropped and the
+    keys are gathered at the positions left.  Each step is invariant under
+    permuting positions, so the m-set is uniform over all C(n, m) subsets.  The
+    positions increase, so no keys are sorted, and ``-0.0`` and ``+0.0`` keep
+    their order in ``A``.
 
     Raises:
         InvalidM: m outside [1, n].
     """
-    if not 1 <= m <= A.n:
-        raise InvalidM(f"subsample size must be in [1, {A.n}], got {m}")
+    n = A.n
+    if not 1 <= m <= n:
+        raise InvalidM(f"subsample size must be in [1, {n}], got {m}")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(A.n, size=m, replace=False)
-    keys = A.keys[np.sort(picks)]
+    p = (m + 4.0 * math.sqrt(m) + 10.0) / n  # under m positions in at most ~3e-5 of draws
+    positions = np.arange(n) if p >= 1.0 else _bernoulli_positions(rng, n, p, m)
+    surplus = len(positions) - m
+    if surplus:
+        positions = np.delete(positions, rng.choice(len(positions), surplus, replace=False))
+    keys = A.keys[positions]
     keys.setflags(write=False)
     return KeyArray(keys=keys, mode=A.mode)
+
+
+def _bernoulli_positions(rng: np.random.Generator, n: int, p: float, m: int) -> np.ndarray:
+    """Increasing positions in [0, n), each kept independently with probability p < 1.
+
+    A fixed number of gaps is drawn by inversion, ``floor(log1p(-U)/log1p(-p)) + 1``,
+    which is at least 1 even at U = 0, and summed.  A draw is repeated while it keeps
+    fewer than m positions, or one per gap (the gaps may then stop short of n): both
+    depend on the count kept alone, so the positions stay exchangeable.
+    """
+    mean = n * p
+    draws = int(mean + 6.0 * math.sqrt(mean)) + 16
+    scale = 1.0 / math.log1p(-p)
+    while True:
+        u = rng.random(draws)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u *= scale
+        positions = u.astype(np.int64)  # truncation floors these non-negative values
+        positions += 1
+        positions[0] -= 1  # the first gap from position -1
+        np.add.accumulate(positions, out=positions)
+        kept = int(np.searchsorted(positions, n))
+        if m <= kept < draws:
+            return positions[:kept]

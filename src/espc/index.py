@@ -211,18 +211,22 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
     lo, hi = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
     if not lo <= hi:  # NaN propagates through both
         raise OutOfRange("NaN query has no rank")
-    if idx.delta == 0.0:
-        out = np.full(v.shape, idx.t.item(0) / 2)
-    else:
-        ks = assign_intervals(v, idx.x_first, idx.delta, idx.K)
-        ks -= 1
-        out = np.asarray(idx.t[ks]).astype(np.float64)  # a 0-d index gives a scalar
-        out *= 0.5
+    out = _slots(idx, v).astype(np.float64)
+    out *= 0.5
     if lo < idx.x_first:
         out[v < idx.x_first] = 0.0
     if hi > idx.x_last:
         out[v > idx.x_last] = float(idx.n)
     return out
+
+
+def _slots(idx: EspcIndex, v: np.ndarray) -> np.ndarray:
+    """The slots t of the cells holding the values ``v``, as float64 (outside values clamp)."""
+    if idx.delta == 0.0:
+        return np.full(v.shape, idx.t[0])
+    ks = assign_intervals(v, idx.x_first, idx.delta, idx.K)
+    ks -= 1
+    return np.asarray(idx.t[ks])  # a 0-d index gives a scalar
 
 
 def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
@@ -301,8 +305,9 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     ranks = np.where(over, n, 0)
     comparisons = np.where(under, 1, 2)
     inside = np.flatnonzero(~(under | over))
-    if inside.size:  # locate with the query's own value, as the scalar lookup does
-        found, cost = exponential_search_many(A, np.ceil(predict_many(idx, raw[inside])), q[inside])
+    if inside.size:  # locate with the query's own value and start at ceil(t/2), as _flat does
+        t = _slots(idx, raw[inside])
+        found, cost = exponential_search_many(A, t - (t >> 1), q[inside])
         ranks[inside] = found
         comparisons[inside] += cost
     return ranks, comparisons

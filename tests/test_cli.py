@@ -1,5 +1,6 @@
 """Command-line behaviour: verbs, exit codes, reproducibility."""
 
+import csv
 import json
 import os
 import struct
@@ -159,6 +160,25 @@ class TestBench:
         assert code == 0
         assert "mean_error=" in out
         assert len(open(csv_path).read().splitlines()) == 3
+
+    def test_file_subsample_repeats(self, tmp_path, capsys):
+        data = tmp_path / "keys.sosd"
+        write_sosd(data, validate_key_array(np.random.default_rng(3).beta(2, 2, 20000)))
+        rows = []
+        for run in range(2):
+            csv_path = tmp_path / f"r{run}.csv"
+            code, _, _ = _run(
+                capsys,
+                ["bench", "--data", str(data), "--mode", FLOAT_MODE, "--n-sub", "5000",
+                 "--k-grid", "16,128", "--queries", "2000", "--rho-draws", "5000",
+                 "--seed", "4", "--check", "--out", str(csv_path)],
+            )
+            assert code == 0
+            with open(csv_path, newline="") as fh:
+                rows.append([{c: v for c, v in row.items() if c not in ("build_ms", "query_ns")}
+                             for row in csv.DictReader(fh)])
+        assert rows[0] == rows[1] and len(rows[0]) == 2
+        assert all(row["n"] == "5000" for row in rows[0])
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = {

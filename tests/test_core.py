@@ -9,10 +9,11 @@ from espc.core import (
     FLOAT_MODE,
     INT_MODE,
     exact_ranks,
+    int_key_queries,
     rank_bruteforce,
     validate_key_array,
 )
-from espc.errors import EmptyInput, EspcError, NonFiniteKey
+from espc.errors import EmptyInput, EspcError, InvalidParams, NonFiniteKey
 
 
 class TestValidateKeyArray:
@@ -97,6 +98,21 @@ class TestRankBruteforce:
         assert rank_bruteforce(A, math.nan) == 0
         floats = [2.0**60, 2.0**64, math.inf, -math.inf, -0.5, math.nan]
         assert exact_ranks(A, floats).tolist() == [1, 3, 3, 0, 0, 0]
+
+    def test_int_key_queries_keep_a_0d_shape(self):
+        for q, expected in ((5.5, (5, False, True)), (2.0**70, (2**64 - 1, False, True)),
+                            (math.nan, (0, True, False)), (-3, (0, True, False))):
+            values, below, inexact = int_key_queries(q)
+            assert values.dtype == np.uint64
+            assert np.shape(values) == np.shape(below) == np.shape(inexact) == ()
+            assert (values.item(), bool(below), bool(inexact)) == expected
+
+    def test_exact_ranks_refuses_queries_not_1d(self):
+        for A, q in ((validate_key_array([1, 2, 3], INT_MODE), 5.0),
+                     (validate_key_array([1.0, 2.0], FLOAT_MODE), 1.5)):
+            for queries in (q, [[q]]):
+                with pytest.raises(InvalidParams):
+                    exact_ranks(A, queries)
 
     def test_bounds_and_monotonicity(self):
         rng = np.random.default_rng(11)

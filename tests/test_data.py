@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from espc.core import FLOAT_MODE, INT_MODE, validate_key_array
+from espc.core import FLOAT_MODE, INT_MODE, KeyArray, validate_key_array
 from espc.data import (
     DatasetSpec,
     generate,
@@ -190,25 +190,49 @@ class TestSubsample:
             subsample(A, 100, seed=3).keys, subsample(A, 100, seed=3).keys
         )
 
-    def test_equals_sorting_the_drawn_keys(self):
-        # Keys at the sorted drawn positions are the drawn keys, sorted: bit for bit
-        # without signed zeros, and value for value with them.
+    def test_keys_at_increasing_positions(self):
+        # The draw depends on (n, m, seed) alone, so subsampling keys 0..n-1 gives the
+        # positions; the keys must be A's at those positions, bit for bit (signed zeros too).
         rng = np.random.default_rng(8)
         zeros = validate_key_array(rng.choice([-0.0, 0.0, 0.5], 3000), FLOAT_MODE)
         near_top = rng.integers(2**64 - 2**10, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True)
+        labels = validate_key_array(np.arange(3000), INT_MODE)
         for A in (
             generate(DatasetSpec("beta22", n=3000, seed=6)),
             validate_key_array(np.round(rng.random(3000), 2), FLOAT_MODE),  # duplicates
             validate_key_array(near_top, INT_MODE),
             zeros,
         ):
-            for m, seed in ((1, 0), (700, 3), (3000, 4)):
+            for m, seed in ((1, 0), (700, 3), (2990, 5), (3000, 4)):
                 out = subsample(A, m, seed)
-                picks = np.random.default_rng(seed).choice(A.n, m, replace=False)
-                expected = np.sort(A.keys[picks], kind="stable")
+                positions = subsample(labels, m, seed).keys.astype(np.int64)
+                assert len(positions) == m and np.all(np.diff(positions) > 0)
                 assert out.mode == A.mode and not out.keys.flags.writeable
-                assert np.array_equal(out.keys, expected)
-                assert A is zeros or out.keys.tobytes() == expected.tobytes()
+                assert out.keys.tobytes() == A.keys[positions].tobytes()
+
+    # (20, 7) keeps every position and drops 13; (60, 20) walks geometric gaps.
+    @pytest.mark.parametrize("n, m", [(20, 7), (60, 20)])
+    def test_each_position_and_pair_equally_likely(self, n, m):
+        draws = 20_000
+        labels = validate_key_array(np.arange(n), INT_MODE)
+        chosen = np.zeros((draws, n))
+        for seed in range(draws):
+            chosen[seed, subsample(labels, m, seed).keys.astype(np.int64)] = 1.0
+        together = chosen[:, 0] @ chosen[:, [1, n - 1]] / draws  # a neighbour, and the far end
+        for rates, p in ((chosen.mean(axis=0), m / n), (together, m * (m - 1) / (n * (n - 1)))):
+            assert np.abs(rates - p).max() <= 5 * np.sqrt(p * (1 - p) / draws)  # binomial sd
+
+    def test_memory_is_o_m(self):
+        # Keys' values do not enter the draw; a zero-stride view keeps 2*10^7 of them small.
+        A = KeyArray(keys=np.broadcast_to(np.float64(0.5), (2 * 10**7,)), mode=FLOAT_MODE)
+        tracemalloc.start()
+        try:
+            out = subsample(A, 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n == 10**6
+        assert peak < 48e6  # about 17 MB; an n-sized int64 array alone is 160 MB
 
     def test_bad_m(self):
         A = generate(DatasetSpec("uniform", n=10, seed=6))
