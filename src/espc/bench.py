@@ -51,6 +51,8 @@ class BenchConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if self.n_sub < 0:
+            raise InvalidParams(f"n_sub must be non-negative (0 keeps every key), got {self.n_sub}")
         if not self.k_grid:
             raise InvalidParams("k_grid must not be empty")
         if list(self.k_grid) != sorted(self.k_grid):

@@ -9,6 +9,7 @@ flags print the same numbers (wall-clock columns excepted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -78,6 +79,7 @@ def dispatch(argv) -> int:
         return 1
 
 
+@functools.cache  # parsing leaves the parser as it was; the verbs look up globals when run
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="espc", description=__doc__)
     sub = parser.add_subparsers(dest="verb", parser_class=_Parser)

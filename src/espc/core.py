@@ -99,9 +99,13 @@ def _validated(raw, mode: str, frozen: bool = False) -> tuple[KeyArray, bool]:
         arr = arr.reshape(-1)
     if arr.size == 0:
         raise EmptyInput("key array must contain at least one key")
-    if mode == FLOAT_MODE and not np.isfinite(arr).all():
-        raise NonFiniteKey("float keys must be finite (no NaN/inf)")
     was_sorted = _is_sorted(arr)
+    if mode == FLOAT_MODE:
+        # Among two or more keys a NaN fails the sortedness test; a sorted array holds
+        # any inf, or a lone NaN, at an end.
+        finite = arr[[0, -1]] if was_sorted else arr
+        if not np.isfinite(finite).all():
+            raise NonFiniteKey("float keys must be finite (no NaN/inf)")
     if not was_sorted:
         arr = np.sort(arr)
     elif not frozen:

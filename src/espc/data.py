@@ -88,8 +88,10 @@ def generate(spec: DatasetSpec) -> KeyArray:
             sigma = float(spec.params.get("sigma", 1.0 if spec.kind == NORMAL else 2.0))
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"mu and sigma must be numbers, got {dict(spec.params)}") from exc
-        if sigma <= 0:
-            raise InvalidParams(f"sigma must be positive, got {sigma}")
+        if not math.isfinite(mu):
+            raise InvalidParams(f"mu must be finite, got {mu}")
+        if not 0 < sigma < math.inf:
+            raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
         draw = partial(rng.normal if spec.kind == NORMAL else rng.lognormal, mu, sigma)
     try:
         draws = draw(spec.n)

@@ -7,12 +7,18 @@ proxy used throughout the benchmark harness; index arithmetic is free.
 Each public search builds one :class:`SearchOutcome`; its loops live in the
 private kernels :func:`_gallop` and :func:`_bisect`, which return plain
 ``(rank, comparisons)`` pairs; the index lookups call them on ``KeyArray._probe``.
+A bracket of 2^t - 1 keys bisects as a perfect tree, t probes on every path,
+so :func:`_gallop` hands each such bracket its doubling phase leaves to C
+(``bisect.bisect_right``, the same probes) and adds t; brackets clamped at an
+end of the keys, and :func:`binary_search_rank`, run :func:`_bisect`, the
+interpreted loop that stays the reference for counts.
 :func:`exponential_search_many` runs many searches in lockstep with the
 same probes, so its ranks and counts equal the scalar ones.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +67,18 @@ def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:
 
     ``q`` must compare exactly with the keys (a Python scalar, not a numpy float).
 
+    A doubling phase that ends on a key across ``q`` from ``i`` leaves a
+    perfect bracket: going right, the step/2 - 1 positions strictly between
+    the last two probes i + step/2 and i + step, and going left their mirror
+    image.  With ``mid = (lo + hi) // 2`` a bracket of 2^t - 1 positions
+    bisects as a perfect tree, so every path probes exactly t keys, and
+    ``bisect.bisect_right`` takes the same midpoints and tests ``q < key``,
+    which is ``not key <= q`` for every q but NaN (a NaN q goes left to rank
+    0 without a bracket).  So C bisects every non-empty perfect bracket and
+    t is added to the count; empty ones (step 1 or 2) return at once, and a
+    bracket clamped at 0 or n keeps :func:`_bisect`, the reference for counts.
+    Each doubling phase counts its probes once, from its final step.
+
     Raises:
         StartOutOfRange: ``i`` outside [0, n]; a negative ``i`` would index
             the view from its end.
@@ -69,40 +87,36 @@ def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:
     if not 0 <= i <= n:
         raise StartOutOfRange(f"start {i} outside [0, {n}]")
 
-    go_right = False
     if i < n:
         comparisons += 1
-        go_right = keys[i] <= q
+        if keys[i] <= q:
+            # rank > i: probe i+1, i+2, i+4, ... until a key exceeds q.
+            step = 1
+            while i + step < n and keys[i + step] <= q:
+                step += step
+            if i + step >= n:  # clamped at n: the last step probed nothing
+                return _bisect(keys, i + (step >> 1) + 1, n, q, comparisons + step.bit_length() - 1)
+            # keys[i + step] > q: rank in (i + step/2, i + step]
+            if step <= 2:
+                return i + step, comparisons + step
+            t = step.bit_length() - 2  # t + 2 doubling probes, then t in the bracket
+            return bisect_right(keys, q, i + (step >> 1) + 1, i + step), comparisons + 2 + 2 * t
 
+    # rank <= i: probe i-1, i-2, i-4, ... (clamped at 0) until a key is <= q.
     step = 1
-    if go_right:
-        # rank > i: probe i+1, i+2, i+4, ... until a key exceeds q.
-        lo, hi = i + 1, n
-        while i + step < n:
-            comparisons += 1
-            if keys[i + step] <= q:
-                lo = i + step + 1
-                step *= 2
-            else:
-                hi = i + step
-                break
-    else:
-        # rank <= i: probe i-1, i-2, i-4, ... until a key is <= q.
-        lo, hi = 0, i
-        while hi > 0:
-            j = i - step
-            if j < 0:
-                j = 0
-            comparisons += 1
-            if keys[j] <= q:
-                lo = j + 1
-                break
-            hi = j
-            step *= 2
-
-    if lo == hi:
-        return lo, comparisons
-    return _bisect(keys, lo, hi, q, comparisons)
+    while step < i and not keys[i - step] <= q:
+        step += step
+    if step < i:  # keys[i - step] <= q: rank in (i - step, i - step/2]
+        if step <= 2:
+            return i - step + 1, comparisons + step
+        t = step.bit_length() - 2  # t + 2 doubling probes, then t in the bracket
+        return bisect_right(keys, q, i - step + 1, i - (step >> 1)), comparisons + 2 + 2 * t
+    if not i:
+        return 0, comparisons
+    comparisons += step.bit_length()  # clamped at 0: keys[0] is probed last
+    if not keys[0] <= q:
+        return 0, comparisons
+    return _bisect(keys, 1, i - (step >> 1), q, comparisons)
 
 
 def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.ndarray]:

@@ -128,6 +128,9 @@ class TestRunErrorExperiment:
             _small_cfg(queries=0)
         with pytest.raises(InvalidParams):
             _small_cfg(seed=-1)
+        with pytest.raises(InvalidParams, match="n_sub"):
+            _small_cfg(n_sub=-1)
+        assert _small_cfg(n_sub=0).n_sub == 0  # 0 keeps every key
 
     def test_wrong_rank_fails_the_cross_check(self):
         keys = validate_key_array(np.arange(10.0))

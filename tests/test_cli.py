@@ -73,6 +73,19 @@ class TestGenerateBuildQuery:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [("normal", "--sigma", "nan"), ("normal", "--sigma", "inf"), ("lognormal", "--sigma", "0"),
+         ("normal", "--mu", "nan"), ("lognormal", "--mu", "-inf")],
+    )
+    def test_bad_distribution_param_exits_one(self, tmp_path, capsys, kind, flag, value):
+        out_path = tmp_path / "g.sosd"
+        argv = ["generate", "--kind", kind, "--n", "10", f"{flag}={value}", "--out", str(out_path)]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag[2:]} must be")
+        assert not out_path.exists()
+
     def test_too_many_keys_exits_one(self, tmp_path, capsys, monkeypatch):
         from espc import cli as cli_mod
 
@@ -180,6 +193,18 @@ class TestBench:
         assert rows[0] == rows[1] and len(rows[0]) == 2
         assert all(row["n"] == "5000" for row in rows[0])
 
+    def test_negative_n_sub_exits_one(self, tmp_path, capsys):
+        data, csv_path = tmp_path / "keys.sosd", tmp_path / "r.csv"
+        write_sosd(data, validate_key_array(np.linspace(0.0, 1.0, 1000)))
+        code, out, err = _run(
+            capsys,
+            ["bench", "--data", str(data), "--mode", FLOAT_MODE, "--n-sub", "-5",
+             "--k-grid", "16", "--queries", "100", "--out", str(csv_path)],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: n_sub must be non-negative")
+        assert not csv_path.exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = {
             "dataset": {"kind": "beta22", "n": 40000, "seed": 9},
@@ -249,6 +274,23 @@ class TestUsage:
         code, _, err = _run(capsys, ["query", "--index", idx_path, *float_args, "--q", "nan"])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_usage_error_then_valid_command(self, capsys, int_file):
+        # One parser serves the whole process: an error leaves it as a fresh one is.
+        from espc import cli as cli_mod
+
+        bad = ["entropy", "--data", int_file, "--k", "two"]
+        good = ["entropy", "--data", int_file, "--k", "2"]
+        together = [_run(capsys, bad), _run(capsys, good)]
+        cli_mod._build_parser.cache_clear()
+        good_alone = _run(capsys, good)
+        cli_mod._build_parser.cache_clear()
+        bad_alone = _run(capsys, bad)
+        assert together == [bad_alone, good_alone]
+        code, out, err = bad_alone
+        assert (code, out) == (1, "") and err.startswith("error:") and "usage:" in err
+        code, out, err = good_alone
+        assert (code, err) == (0, "") and out.startswith("h2=")
 
     def test_corrupt_index_exits_three(self, tmp_path, capsys, int_file):
         idx_path = tmp_path / "keys.espc"

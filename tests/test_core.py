@@ -36,6 +36,15 @@ class TestValidateKeyArray:
         with pytest.raises(NonFiniteKey):
             validate_key_array([1.0, float("inf")], FLOAT_MODE)
 
+    @pytest.mark.parametrize(
+        "raw", [[math.nan], [1, math.nan, 2], [math.nan, math.nan], [-math.inf, 1], [1, math.inf],
+                [3, math.inf, 1]],
+    )
+    def test_rejects_non_finite_sorted_or_not(self, raw):
+        # Sorted input is checked at its two ends only, which must still catch these.
+        with pytest.raises(NonFiniteKey):
+            validate_key_array(raw, FLOAT_MODE)
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             validate_key_array([], FLOAT_MODE)

@@ -21,6 +21,7 @@ from espc.errors import (
     DegenerateRange,
     InvalidM,
     InvalidParams,
+    NonFiniteKey,
     TruncatedFile,
     UnsortedFileWarning,
 )
@@ -61,6 +62,18 @@ class TestGenerate:
             generate(DatasetSpec("zipf", n=10))
         with pytest.raises(InvalidParams):
             generate(DatasetSpec("file"))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("normal", {"sigma": float("nan")}), ("normal", {"sigma": float("inf")}),
+         ("lognormal", {"sigma": 0.0}), ("lognormal", {"mu": float("nan")}),
+         ("normal", {"mu": float("-inf")})],
+    )
+    def test_bad_distribution_params_are_named(self, kind, params):
+        # The parameter is named before any draw (not as non-finite keys later).
+        (culprit,) = params
+        with pytest.raises(InvalidParams, match=f"^{culprit} must be"):
+            generate(DatasetSpec(kind, n=10, params=params))
 
 
 class TestKeyFiles:
@@ -107,6 +120,13 @@ class TestKeyFiles:
             read_sosd(path, INT_MODE)
         path.write_bytes(struct.pack("<QQ", 2**61, 0))  # no 2^64-byte allocation is tried
         with pytest.raises(TruncatedFile):
+            read_sosd(path, FLOAT_MODE)
+
+    @pytest.mark.parametrize("keys", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, np.nan, 1.0]])
+    def test_non_finite_float_file(self, tmp_path, keys):
+        path = tmp_path / "bad.sosd"
+        path.write_bytes(struct.pack("<Q", 3) + np.array(keys).tobytes())
+        with pytest.raises(NonFiniteKey):
             read_sosd(path, FLOAT_MODE)
 
     def test_read_holds_the_file_once(self, tmp_path):

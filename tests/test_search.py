@@ -1,6 +1,7 @@
 """Binary and exponential search against the linear-scan oracle."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from espc.errors import InvalidParams, StartOutOfRange
 from espc.index import build_equal_probability, build_espc, evaluate_rank, evaluate_rank_hier
 from espc.search import (
     SearchOutcome,
+    _bisect,
+    _gallop,
     binary_search_rank,
     exponential_search,
     exponential_search_many,
@@ -176,3 +179,80 @@ class TestExponentialSearchMany:
         for qs in (np.array([1.5]), np.array([-1])):
             with pytest.raises(InvalidParams):
                 exponential_search_many(A, [0], qs)
+
+
+def _reference_gallop(keys, i, q, comparisons):
+    """The galloping loop as it was before its brackets were bisected in C."""
+    n = len(keys)
+    go_right = False
+    if i < n:
+        comparisons += 1
+        go_right = keys[i] <= q
+    step = 1
+    if go_right:
+        lo, hi = i + 1, n
+        while i + step < n:
+            comparisons += 1
+            if keys[i + step] <= q:
+                lo = i + step + 1
+                step *= 2
+            else:
+                hi = i + step
+                break
+    else:
+        lo, hi = 0, i
+        while hi > 0:
+            j = max(i - step, 0)
+            comparisons += 1
+            if keys[j] <= q:
+                lo = j + 1
+                break
+            hi = j
+            step *= 2
+    return _bisect(keys, lo, hi, q, comparisons)
+
+
+def _tied_probe_views():
+    """(probe view, queries) for key arrays of 1..64 keys with ties.
+
+    Float keys get float and int queries and NaN; integer keys above 2^53, where
+    neighbours differ below float64 resolution, get int and float queries.
+    """
+    rng = np.random.default_rng(11)
+    for n in range(1, 65):
+        values = np.sort(rng.integers(0, n // 2 + 2, n))
+        A = validate_key_array(values / 4.0, FLOAT_MODE)
+        keys = A._probe[0]
+        distinct = sorted(set(keys))
+        mids = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+        ints = list(range(math.floor(distinct[0]) - 1, math.ceil(distinct[-1]) + 2))
+        yield keys, [distinct[0] - 1.0, *distinct, *mids, distinct[-1] + 1.0, *ints, math.nan]
+
+        A = validate_key_array(2**60 + 3 * values.astype(np.uint64), INT_MODE)
+        keys = A._probe[0]
+        distinct = sorted(set(keys))
+        around = [k + d for k in distinct for d in (-1, 0, 1)]
+        floats = {math.nextafter(float(k), to) for k in distinct for to in (-math.inf, math.inf)}
+        yield keys, [*around, *sorted(floats), 0, 2**64, 0.5, 2.0**64]
+
+
+class TestGallopKernel:
+    def test_matches_the_reference_loop_from_every_start(self):
+        for keys, queries in _tied_probe_views():
+            for i in range(len(keys) + 1):
+                for q in queries:
+                    assert _gallop(keys, i, q, 3) == _reference_gallop(keys, i, q, 3), (i, q)
+
+    def test_perfect_bracket_costs_t_probes(self):
+        # The fact the C bisection relies on: every path through 2^t - 1 keys probes t.
+        # NaN is left out: bisect_right sees no key above it, _bisect none below it.
+        for keys, queries in _tied_probe_views():
+            n = len(keys)
+            if n not in (31, 64):
+                continue
+            queries = [q for q in queries if not math.isnan(q)]
+            for t in range(1, (n + 1).bit_length()):
+                for lo in range(n - 2**t + 2):
+                    hi = lo + 2**t - 1
+                    for q in queries:
+                        assert _bisect(keys, lo, hi, q, 0) == (bisect_right(keys, q, lo, hi), t)
