@@ -191,7 +191,8 @@ def _cmd_build(args) -> int:
     k = args.k if args.k is not None else choose_k(SizingPolicy(kind=args.policy), keys.n)
     idx = build_espc(keys, k)
     save_index(idx, args.out)
-    print(f"wrote={args.out} k={idx.K} space_bytes={bench_mod.measure_space(idx)}")
+    shift = "none" if idx.shift is None else repr(idx.shift)
+    print(f"wrote={args.out} k={idx.K} space_bytes={bench_mod.measure_space(idx)} shift={shift}")
     return 0
 
 

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateRange,
     InvalidM,
     InvalidParams,
+    NonFiniteKey,
     TruncatedFile,
     UnsortedFileWarning,
 )
@@ -65,8 +66,8 @@ def generate(spec: DatasetSpec) -> KeyArray:
     mode; files keep the mode they are read with.
 
     Raises:
-        InvalidParams: unknown kind, n < 1, bad distribution params, or n draws
-            that cannot be allocated.
+        InvalidParams: unknown kind, n < 1, bad distribution params, n draws
+            that cannot be allocated, or normal or lognormal draws that overflow.
     """
     if spec.kind == FILE:
         path = spec.params.get("path")
@@ -97,7 +98,12 @@ def generate(spec: DatasetSpec) -> KeyArray:
         draws = draw(spec.n)
     except (MemoryError, ValueError, OverflowError) as exc:  # too many draws to allocate
         raise InvalidParams(f"cannot allocate {spec.n} draws") from exc
-    return validate_key_array(draws, FLOAT_MODE)
+    try:
+        return validate_key_array(draws, FLOAT_MODE)
+    except NonFiniteKey as exc:  # only normal and lognormal draws, from finite mu and sigma
+        raise InvalidParams(
+            f"{spec.kind} draws with mu={mu} and sigma={sigma} overflow float64"
+        ) from exc
 
 
 def read_sosd(path, mode: str = INT_MODE) -> KeyArray:
@@ -140,10 +146,10 @@ def write_sosd(path, A: KeyArray) -> None:
     and re-writing a file read this way is byte-identical.
     """
     dtype = "<u8" if A.mode == INT_MODE else "<f8"
-    blob = struct.pack("<Q", A.n) + np.ascontiguousarray(A.keys, dtype=dtype).tobytes()
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(struct.pack("<Q", A.n))
+        fh.write(memoryview(np.ascontiguousarray(A.keys, dtype=dtype)))  # no joined copy
 
 
 def rescale_unit(A: KeyArray) -> KeyArray:

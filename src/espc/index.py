@@ -1,11 +1,13 @@
 """Equal-split piecewise-constant rank index.
 
-The index splits the key range [x_min, x_max] into K equal-length
-intervals and stores one half-integer rank estimate per interval, doubled
-into a uint32 slot.  A lookup locates its interval with one division,
-reads the stored estimate, and corrects it to the exact rank with an
-exponential search.  Build cost is O(K + min(n, K log n)); lookup cost is
-O(log error).
+The index splits the key range [x_min, x_max] into K intervals of equal
+length in g(x), and stores one half-integer rank estimate per interval,
+doubled into a uint32 slot.  g is the identity x - x_min, or, where a
+sample of the keys shows it spreads them much more evenly, a log-like
+transform (:func:`_choose_shift`).  A lookup locates its interval with one
+division, reads the stored estimate, and corrects it to the exact rank with
+an exponential search over the keys themselves, so ranks are exact whatever
+g is.  Build cost is O(K + min(n, K log n)); lookup cost is O(log error).
 
 A flat lookup is one frame, :func:`_flat`: it checks the index and q against
 the keys' cached record (``KeyArray._probe``), locates through :func:`_cell` and
@@ -37,17 +39,47 @@ from .search import SearchOutcome, _gallop, exponential_search_many
 MAGIC = b"ESPC2"
 SLOT_BYTES = 4
 HEADER_BYTES = len(MAGIC) + 2 * 8 + 3 * 8  # magic, n, K, x_first, x_last, delta
+MAGIC_SHIFTED = b"ESPC3"  # the same layout, with the shift s of g where ESPC2 has delta
 MAGIC_V1 = b"ESPC1"  # the earlier layout: the same header, then r = t/2 as float64
 MAX_KEYS = 2**31 - 1  # the most keys n for which every slot, up to 2n, fits a uint32
+SHIFT_FLOOR = 8192  # fewest keys for which build_espc considers cutting on a log scale
+_SHIFT_FRACTIONS = (1e-9, 1e-6, 1e-3)  # candidate shifts s = x_first - c * (x_last - x_first)
+_pack_f64 = struct.Struct("<d").pack
+_unpack_i64 = struct.Struct("<q").unpack
+
+
+def _bits(x: float) -> int:
+    """β(x): the IEEE-754 bits of the float64 ``x`` read as an int64.
+
+    For x > 0 this is increasing and piecewise linear in x, a scaled log2 of x
+    plus a constant; numpy reads the same value as ``x.view(np.int64)``.
+    """
+    return _unpack_i64(_pack_f64(x))[0]
+
+
+def _span(lo: float, hi: float, shift: float | None) -> float:
+    """g(hi) for g(x) = x - lo (``shift`` None) or β(x - shift) - β(lo - shift)."""
+    if shift is None:
+        return hi - lo
+    return float(_bits(hi - shift) - _bits(lo - shift))
+
+
+def _shift_ok(lo: float, hi: float, shift: float) -> bool:
+    """Whether g with this shift is defined and increasing on [lo, hi]."""
+    return -math.inf < shift < lo and hi - shift < math.inf and _span(lo, hi, shift) > 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class EspcIndex:
-    """Built index: K intervals of length ``delta`` with doubled rank estimates ``t``.
+    """Built index: K intervals of length ``delta`` in g with doubled rank estimates ``t``.
 
     ``t[k-1] = c_{k-1} + c_k``, where c_k counts the keys in intervals 1..k:
     twice the midpoint of the rank range attainable inside interval k.  The
     array is uint32, non-decreasing, each entry an integer in [0, 2n].
+    A value x lies in interval ``clip(ceil(g(x)/delta), 1, K)``, where g is
+    ``x - x_first`` when ``shift`` is None, and otherwise
+    ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
+    scale; either way ``delta = g(x_last)/K``.
     Instances are immutable and safe for concurrent lookups.
     """
 
@@ -57,6 +89,12 @@ class EspcIndex:
     x_last: float
     n: int
     t: np.ndarray
+    shift: float | None = None
+
+    def __post_init__(self):
+        # β(x_first - shift), which every shifted lookup subtracts: derived, so not a field.
+        base = None if self.shift is None else _bits(self.x_first - self.shift)
+        object.__setattr__(self, "_base", base)
 
     @property
     def r(self) -> np.ndarray:
@@ -70,25 +108,35 @@ class EspcIndex:
         return r
 
 
-def assign_intervals(values, lo: float, step: float, k: int) -> np.ndarray:
+def assign_intervals(values, lo: float, step: float, k: int, shift=None) -> np.ndarray:
     """Interval numbers (1-based) for ``values`` under equal-length splits.
 
-    Uses the clamped ceiling rule ``clip(ceil((v - lo)/step), 1, k)``: a value
+    Uses the clamped ceiling rule ``clip(ceil(g(v)/step), 1, k)``: a value
     on an inner boundary is in the lower interval, and values far outside clamp
-    to the end intervals.  Index cells, histogram bins and the kernel grid all
-    decide membership by this formula, never by recomputing boundary positions,
-    so every value maps to exactly one interval even under floating-point roundoff.
+    to the end intervals.  g(v) is v - lo, or with a ``shift`` (which takes values
+    at or above lo only) the log-like β(v - shift) - β(lo - shift) of :func:`_span`.
+    Index cells, histogram bins and the kernel grid all decide membership by this
+    formula, never by recomputing boundary positions, so every value maps to
+    exactly one interval even under floating-point roundoff.
     """
     # One float buffer, updated in place; the outer asarray keeps 0-d input an array.
     with np.errstate(over="ignore"):  # clamped below
-        raw = np.asarray(np.asarray(values, dtype=np.float64) - lo)
-        raw /= step
+        if shift is None:
+            raw = np.asarray(np.asarray(values, dtype=np.float64) - lo)
+            raw /= step
+        else:
+            raw = np.asarray(np.asarray(values, dtype=np.float64) - shift)
+            cells = np.asarray(raw.view(np.int64) - _bits(lo - shift))  # g, exact in int64
+            np.divide(cells, step, out=raw)  # float(g) / step, as Python's int / float
     np.ceil(raw, out=raw)
     raw.clip(1, k, out=raw)  # one fused pass; the method skips np.clip's dispatch
-    return raw.astype(np.int64)
+    if shift is None:
+        return raw.astype(np.int64)
+    cells[...] = raw  # g's int64 buffer takes the result: two buffers, as without a shift
+    return cells
 
 
-def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int) -> np.ndarray:
+def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int, shift=None) -> np.ndarray:
     """Position of the first of the sorted ``keys`` in or past each of cells 2, ..., k.
 
     All cells are bisected in lockstep over ceil(log2 n) rounds, each applying
@@ -101,13 +149,15 @@ def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int) -> np.ndarray
     while size > 1:  # each answer lies in [base, base + size]
         half = size // 2
         mid = base + half
-        base = np.where(assign_intervals(keys[mid], lo, step, k) < cells, mid, base)
+        base = np.where(assign_intervals(keys[mid], lo, step, k, shift) < cells, mid, base)
         size -= half
-    return base + (assign_intervals(keys[base], lo, step, k) < cells)
+    return base + (assign_intervals(keys[base], lo, step, k, shift) < cells)
 
 
-def _cell_counts(keys: np.ndarray, lo: float, hi: float, k: int) -> tuple[np.ndarray, float]:
-    """Counts of the sorted ``keys`` in ``k`` equal cells of [lo, hi], and the cell length.
+def _cell_counts(
+    keys: np.ndarray, lo: float, hi: float, k: int, shift: float | None = None
+) -> tuple[np.ndarray, float]:
+    """Counts of the sorted ``keys`` in ``k`` cells of [lo, hi] equal in g, and their length in g.
 
     Each key is in the cell :func:`assign_intervals` gives it; cell starts are bisected
     for (:func:`_cell_starts`) where that is cheaper than one pass over every key.
@@ -118,7 +168,7 @@ def _cell_counts(keys: np.ndarray, lo: float, hi: float, k: int) -> tuple[np.nda
     n = len(keys)
     if lo == hi:
         return np.array([n]), 0.0
-    step = (hi - lo) / k
+    step = _span(lo, hi, shift) / k
     if not 0.0 < step < math.inf:
         raise InvalidK(f"{k} intervals over [{lo}, {hi}] have length {step}")
     try:
@@ -126,15 +176,45 @@ def _cell_counts(keys: np.ndarray, lo: float, hi: float, k: int) -> tuple[np.nda
         # about what a key costs in the full pass (numpy 2, 2 vCPUs): bisect where that
         # comes to at most half the pass, so small arrays keep the pass.
         if 2 * n.bit_length() * (k + 1024) < n:
-            return np.diff(_cell_starts(keys, lo, step, k), prepend=0, append=n), step
-        return np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:], step
+            return np.diff(_cell_starts(keys, lo, step, k, shift), prepend=0, append=n), step
+        return np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:], step
     except (MemoryError, ValueError, OverflowError) as exc:  # too many cells to allocate
         raise InvalidK(f"cannot allocate {k} interval slots") from exc
 
 
-def build_espc(A: KeyArray, k: int) -> EspcIndex:
-    """Build an index with ``k`` equal-length intervals over ``A``.
+def _choose_shift(keys: np.ndarray, lo: float, hi: float) -> float | None:
+    """The shift of g that cuts ``keys`` into the most even cells, or None for the identity.
 
+    Arrays of fewer than :data:`SHIFT_FLOOR` keys keep the identity.  Otherwise the
+    sample ``keys[::n // 4096]`` of m keys is counted into m cells equal in g, for
+    the identity and for each shift ``lo - c * (hi - lo)`` with c in
+    :data:`_SHIFT_FRACTIONS`, and scored by its collisions Σ n_k (n_k - 1).  A shift
+    is taken only if its score is at most half the identity's.
+    """
+    n = len(keys)
+    if n < SHIFT_FLOOR:
+        return None
+    sample = keys[:: n // 4096]
+    m = len(sample)
+    if not 0.0 < (hi - lo) / m < math.inf:  # no m cells to count the sample in
+        return None
+
+    def collisions(shift):
+        counts = _cell_counts(sample, lo, hi, m, shift)[0]
+        return int(np.dot(counts, counts - 1))
+
+    shifts = (lo - c * (hi - lo) for c in _SHIFT_FRACTIONS)
+    scores = {shift: collisions(shift) for shift in shifts if _shift_ok(lo, hi, shift)}
+    best = min(scores, key=scores.get, default=None)  # the first of equal scores
+    if best is None or 2 * scores[best] > collisions(None):
+        return None
+    return best
+
+
+def build_espc(A: KeyArray, k: int) -> EspcIndex:
+    """Build an index with ``k`` intervals over ``A``, equal in length in g.
+
+    g is the identity or a log-like scale, as :func:`_choose_shift` picks for the keys.
     When all keys are equal the range is degenerate and the index stores a
     single interval with estimate n/2.
 
@@ -151,13 +231,16 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     if A.n > MAX_KEYS:
         raise InvalidParams(f"an index holds at most {MAX_KEYS} keys, got {A.n}")
     x_first, x_last = float(A.keys[0]), float(A.keys[-1])
-    counts, delta = _cell_counts(A.keys, x_first, x_last, k)
+    shift = _choose_shift(A.keys, x_first, x_last)
+    counts, delta = _cell_counts(A.keys, x_first, x_last, k, shift)
     c = np.add.accumulate(counts, out=counts)  # np.cumsum without its dispatch cost
     t = np.empty(len(c), dtype=np.uint32)
     t[0] = c[0]
     np.add(c[:-1], c[1:], out=t[1:], casting="unsafe")  # at most 2n, which fits
     t.setflags(write=False)
-    return EspcIndex(K=len(t), delta=delta, x_first=x_first, x_last=x_last, n=A.n, t=t)
+    return EspcIndex(
+        K=len(t), delta=delta, x_first=x_first, x_last=x_last, n=A.n, t=t, shift=shift
+    )
 
 
 def locate_interval(idx: EspcIndex, q) -> int:
@@ -176,7 +259,10 @@ def _cell(idx: EspcIndex, qf: float) -> int:
     """:func:`locate_interval` of a float ``qf`` already checked to be in [x_first, x_last]."""
     if idx.delta == 0.0:
         return 1
-    k = math.ceil((qf - idx.x_first) / idx.delta)
+    if idx.shift is None:
+        k = math.ceil((qf - idx.x_first) / idx.delta)
+    else:  # int / float divides float(int), correctly rounded as numpy's cast is
+        k = math.ceil((_unpack_i64(_pack_f64(qf - idx.shift))[0] - idx._base) / idx.delta)
     if k < 1:
         return 1
     if k > idx.K:
@@ -211,8 +297,7 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
     lo, hi = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
     if not lo <= hi:  # NaN propagates through both
         raise OutOfRange("NaN query has no rank")
-    out = _slots(idx, v).astype(np.float64)
-    out *= 0.5
+    out = np.multiply(_slots(idx, v, lo, hi), 0.5, out=np.empty(v.shape))
     if lo < idx.x_first:
         out[v < idx.x_first] = 0.0
     if hi > idx.x_last:
@@ -220,13 +305,27 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
     return out
 
 
-def _slots(idx: EspcIndex, v: np.ndarray) -> np.ndarray:
-    """The slots t of the cells holding the values ``v``, as float64 (outside values clamp)."""
+def _slots(idx: EspcIndex, v: np.ndarray, lo, hi) -> np.ndarray:
+    """The slots t of the cells holding the float64 values ``v``, lo and hi their least and most.
+
+    Values outside the keys take the end cells.  The cell's position k - 1 is computed as
+    ``ceil(g(v)/delta - 1)``: the subtraction is exact for g(v)/delta in [1, 2^53], and
+    below 1 both forms are at most 0, so clipping to [0, K - 1] in ``take`` gives the rule.
+    Values are clamped to the keys only when some lie outside; inside, nothing overflows.
+    """
     if idx.delta == 0.0:
         return np.full(v.shape, idx.t[0])
-    ks = assign_intervals(v, idx.x_first, idx.delta, idx.K)
-    ks -= 1
-    return np.asarray(idx.t[ks])  # a 0-d index gives a scalar
+    if lo < idx.x_first or hi > idx.x_last:
+        v = v.clip(idx.x_first, idx.x_last)
+    if idx.shift is None:
+        y = np.asarray(v - idx.x_first)  # a 0-d array stays an array
+        y /= idx.delta
+    else:
+        y = np.asarray(v - idx.shift)
+        np.divide(y.view(np.int64) - idx._base, idx.delta, out=y)
+    y -= 1.0
+    np.ceil(y, out=y)
+    return idx.t.take(y.astype(np.intp), mode="clip")
 
 
 def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
@@ -306,7 +405,8 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     comparisons = np.where(under, 1, 2)
     inside = np.flatnonzero(~(under | over))
     if inside.size:  # locate with the query's own value and start at ceil(t/2), as _flat does
-        t = _slots(idx, raw[inside])
+        v = raw[inside].astype(np.float64, copy=False)
+        t = _slots(idx, v, np.minimum.reduce(v), np.maximum.reduce(v))
         found, cost = exponential_search_many(A, t - (t >> 1), q[inside])
         ranks[inside] = found
         comparisons[inside] += cost
@@ -445,12 +545,21 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
 def serialize_index(idx: EspcIndex) -> bytes:
     """Little-endian blob: magic ``ESPC2``, n, K (u64), x_first, x_last, delta, then t (u32).
 
-    The layout is fixed at HEADER_BYTES + SLOT_BYTES * K bytes and
-    round-trips bit-exactly through :func:`deserialize_index`.
+    An index cut on a log scale is written as ``ESPC3``, the same layout with its
+    shift in place of delta, which the loader derives.  The layout is fixed at
+    HEADER_BYTES + SLOT_BYTES * K bytes and round-trips bit-exactly through
+    :func:`deserialize_index`.
     """
-    header = MAGIC + struct.pack("<QQ", idx.n, idx.K)
-    header += struct.pack("<ddd", idx.x_first, idx.x_last, idx.delta)
-    return header + np.ascontiguousarray(idx.t, dtype="<u4").tobytes()
+    return _header(idx) + _slot_view(idx).tobytes()
+
+
+def _header(idx: EspcIndex) -> bytes:
+    magic, last = (MAGIC, idx.delta) if idx.shift is None else (MAGIC_SHIFTED, idx.shift)
+    return magic + struct.pack("<QQddd", idx.n, idx.K, idx.x_first, idx.x_last, last)
+
+
+def _slot_view(idx: EspcIndex) -> memoryview:
+    return memoryview(np.ascontiguousarray(idx.t, dtype="<u4"))
 
 
 def deserialize_index(blob: bytes) -> EspcIndex:
@@ -464,7 +573,7 @@ def deserialize_index(blob: bytes) -> EspcIndex:
             or slot that :func:`build_espc` cannot produce.
     """
     magic = blob[: len(MAGIC)]
-    slot_bytes = {MAGIC: SLOT_BYTES, MAGIC_V1: 8}.get(magic)
+    slot_bytes = {MAGIC: SLOT_BYTES, MAGIC_SHIFTED: SLOT_BYTES, MAGIC_V1: 8}.get(magic)
     if len(blob) < HEADER_BYTES or slot_bytes is None:
         raise InvalidIndexFile("not a serialized index (bad magic)")
     n, k = struct.unpack_from("<QQ", blob, len(MAGIC))
@@ -475,16 +584,23 @@ def deserialize_index(blob: bytes) -> EspcIndex:
         )
     if not (k >= 1 and 1 <= n <= MAX_KEYS and -math.inf < x_first <= x_last < math.inf):
         raise InvalidIndexFile(f"bad header: n={n}, K={k}, range [{x_first}, {x_last}]")
-    if not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
+    shift = None
+    if magic == MAGIC_SHIFTED:
+        shift = delta
+        if not _shift_ok(x_first, x_last, shift):
+            raise InvalidIndexFile(f"shift {shift} is not finite, below x_first={x_first} "
+                                   f"and within float64 of x_last={x_last}")
+        delta = _span(x_first, x_last, shift) / k  # g(x_last) >= 1, so 0 < delta < inf
+    elif not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
         raise InvalidIndexFile(f"interval length {delta} does not split the range into K={k}")
-    if magic == MAGIC:
-        t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).copy()
-    else:
+    if magic == MAGIC_V1:
         t2 = 2 * np.frombuffer(blob, dtype="<f8", count=k, offset=HEADER_BYTES)
         # NaN and infinities fail the range test, so the cast below sees only integers.
         if not np.all((t2 >= 0) & (t2 <= 2 * n) & (t2 == np.floor(t2))):
             raise InvalidIndexFile(f"slots are not half-integers within [0, {n}]")
         t = t2.astype(np.uint32)
+    else:
+        t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).copy()
     c = t.astype(np.int64)  # c_k = t_k - t_{k-1} + t_{k-2} - ...: one signed cumulative sum
     c[1::2] *= -1
     np.cumsum(c, out=c)
@@ -492,12 +608,16 @@ def deserialize_index(blob: bytes) -> EspcIndex:
     if not (c[-1] == n and np.all(c[:-1] <= c[1:])):  # c_1 = t_1 >= 0 = c_0
         raise InvalidIndexFile(f"slots do not count a partition of n={n} keys into K={k} cells")
     t.setflags(write=False)
-    return EspcIndex(K=int(k), delta=delta, x_first=x_first, x_last=x_last, n=int(n), t=t)
+    return EspcIndex(
+        K=int(k), delta=delta, x_first=x_first, x_last=x_last, n=int(n), t=t, shift=shift
+    )
 
 
 def save_index(idx: EspcIndex, path) -> None:
+    """Write :func:`serialize_index`'s blob: the header, then the slots' own buffer."""
     with open(path, "wb") as fh:
-        fh.write(serialize_index(idx))
+        fh.write(_header(idx))
+        fh.write(_slot_view(idx))
 
 
 def load_index(path) -> EspcIndex:

@@ -86,6 +86,36 @@ class TestGenerateBuildQuery:
         assert err.startswith(f"error: {flag[2:]} must be")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "kind, flags", [("lognormal", ["--mu", "1000"]), ("normal", ["--sigma", "1e308"])]
+    )
+    def test_overflowing_draws_exit_one(self, tmp_path, capsys, kind, flags):
+        out_path = tmp_path / "g.sosd"
+        argv = ["generate", "--kind", kind, "--n", "1000", *flags, "--out", str(out_path)]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {kind} draws with mu=") and "overflow float64" in err
+        assert "sigma=" in err and not out_path.exists()
+
+    def test_build_reports_the_shift(self, tmp_path, capsys, int_file):
+        idx_path = str(tmp_path / "keys.espc")
+        code, out, _ = _run(capsys, ["build", "--data", int_file, "--k", "4", "--out", idx_path])
+        assert code == 0 and out.rstrip().endswith(" shift=none")
+        heavy = tmp_path / "heavy.sosd"
+        keys = validate_key_array(np.random.default_rng(5).lognormal(0.0, 2.0, 20_000), FLOAT_MODE)
+        write_sosd(heavy, keys)
+        argv = ["build", "--data", str(heavy), "--mode", FLOAT_MODE, "--policy", "sublinear",
+                "--out", idx_path]
+        code, out, _ = _run(capsys, argv)
+        shift = float(out.rsplit(" shift=", 1)[1])
+        assert code == 0 and shift < keys.x_min
+        assert Path(idx_path).read_bytes()[:5] == b"ESPC3"
+        for q in (keys.keys[0], keys.keys[777], keys.keys[-1] / 2, 1e9):
+            argv = ["query", "--index", idx_path, "--data", str(heavy), "--mode", FLOAT_MODE,
+                    "--q", repr(float(q))]
+            code, out, _ = _run(capsys, argv)
+            assert code == 0 and out.startswith(f"rank={rank_bruteforce(keys, float(q))} ")
+
     def test_too_many_keys_exits_one(self, tmp_path, capsys, monkeypatch):
         from espc import cli as cli_mod
 

@@ -76,6 +76,18 @@ class TestGenerate:
             generate(DatasetSpec(kind, n=10, params=params))
 
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("lognormal", {"mu": 1000.0}), ("normal", {"sigma": 1e308}),
+         ("normal", {"mu": 1e308, "sigma": 1e308}), ("lognormal", {"sigma": 500.0})],
+    )
+    def test_overflowing_draws_name_mu_and_sigma(self, kind, params):
+        # Finite parameters whose draws leave float64: named, not reported as bad keys.
+        named = r"^\w+ draws with mu=.* and sigma=.* overflow float64"
+        with pytest.raises(InvalidParams, match=named):
+            generate(DatasetSpec(kind, n=1000, params=params))
+
+
 class TestKeyFiles:
     def test_layout(self, tmp_path):
         A = validate_key_array([1, 2, 3], INT_MODE)
@@ -101,6 +113,22 @@ class TestKeyFiles:
         write_sosd(path, A)
         B = read_sosd(path, FLOAT_MODE)
         np.testing.assert_array_equal(A.keys, B.keys)
+
+    @pytest.mark.parametrize("name", ["d.sosd", "d.sosd.gz"])
+    def test_written_bytes_are_the_count_then_the_keys(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(gzip.time, "time", lambda: 1.0e9)  # the gzip header's mtime
+        for A in (generate(DatasetSpec("lognormal", n=5000, seed=4)),
+                  validate_key_array([0, 7, 2**64 - 1], INT_MODE)):
+            dtype = "<f8" if A.mode == FLOAT_MODE else "<u8"
+            blob = struct.pack("<Q", A.n) + A.keys.astype(dtype).tobytes()
+            path = tmp_path / name
+            write_sosd(path, A)
+            if name.endswith(".gz"):
+                with gzip.open(path, "wb") as fh:  # the same name, so the same gzip header
+                    fh.write(blob)
+                blob = path.read_bytes()
+                write_sosd(path, A)
+            assert path.read_bytes() == blob
 
     def test_gzip_round_trip(self, tmp_path):
         A = validate_key_array([4, 5, 6], INT_MODE)

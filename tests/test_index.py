@@ -20,10 +20,13 @@ from espc.errors import (
     OutOfRange,
     StartOutOfRange,
 )
+from espc.bench import BenchConfig, prepare_keys
+from espc.data import DatasetSpec
 from espc.index import (
     HEADER_BYTES,
     MAGIC_V1,
     MAX_KEYS,
+    SHIFT_FLOOR,
     SLOT_BYTES,
     EspcIndex,
     HierIndex,
@@ -44,11 +47,16 @@ from espc.index import (
     save_index,
     serialize_index,
 )
+from espc.index import _bits, _cell, _choose_shift, _span
 from espc.search import binary_search_rank, exponential_search
 
 
 def _four_keys():
     return validate_key_array([0.0, 1.0, 2.0, 3.0], FLOAT_MODE)
+
+
+def _lognormal_keys(n, seed=0):
+    return validate_key_array(np.random.default_rng(seed).lognormal(0.0, 2.0, n), FLOAT_MODE)
 
 
 def _interval_counts(idx, A):
@@ -539,5 +547,163 @@ class TestSerialization:
     def test_rejects_slot_out_of_range(self):
         blob = bytearray(serialize_index(build_espc(_four_keys(), 2)))
         blob[HEADER_BYTES : HEADER_BYTES + SLOT_BYTES] = struct.pack("<I", 10**9)
+        with pytest.raises(InvalidIndexFile):
+            deserialize_index(bytes(blob))
+
+
+class TestLogScaleCells:
+    """Cells equal in g(x) = β(x - s) - β(x_first - s), chosen by the sample's collisions."""
+
+    def test_heavy_tails_take_a_shift_from_the_floor(self):
+        rng = np.random.default_rng(41)
+        for draw in (lambda n: rng.lognormal(0.0, 2.0, n), lambda n: rng.pareto(1.5, n),
+                     lambda n: rng.exponential(1.0, n)):
+            below = validate_key_array(draw(SHIFT_FLOOR - 1), FLOAT_MODE)
+            assert build_espc(below, 100).shift is None
+            A = validate_key_array(draw(SHIFT_FLOOR), FLOAT_MODE)
+            idx = build_espc(A, 100)
+            assert idx.shift is not None and idx.shift < idx.x_first
+            assert idx.delta == _span(idx.x_first, idx.x_last, idx.shift) / 100
+
+    def test_shift_is_one_of_the_candidates(self):
+        A = _lognormal_keys(10**5)
+        lo, hi = float(A.keys[0]), float(A.keys[-1])
+        assert _choose_shift(A.keys, lo, hi) in [lo - c * (hi - lo) for c in (1e-9, 1e-6, 1e-3)]
+
+    def test_shift_halves_the_collisions_or_is_not_taken(self):
+        # Gamma(2) keys: the best shift leaves 2/3 of the identity's collisions, so none is taken.
+        rng = np.random.default_rng(0)
+        for raw, halved in ((rng.gamma(2.0, 1.0, 10**5), False), (rng.gamma(1.5, 1.0, 10**5), True)):
+            keys = np.sort(raw)
+            lo, hi = float(keys[0]), float(keys[-1])
+            sample = keys[:: len(keys) // 4096]
+
+            def collisions(shift, sample=sample, lo=lo, hi=hi):
+                counts = np.bincount(assign_intervals(
+                    sample, lo, _span(lo, hi, shift) / len(sample), len(sample), shift))
+                return int(np.sum(counts * (counts - 1)))
+
+            scores = {lo - c * (hi - lo): collisions(lo - c * (hi - lo)) for c in (1e-9, 1e-6, 1e-3)}
+            best = min(scores, key=scores.get)
+            assert (2 * scores[best] <= collisions(None)) == halved
+            assert scores[best] < collisions(None)
+            assert _choose_shift(keys, lo, hi) == (best if halved else None)
+
+    @pytest.mark.parametrize("kind, seed", [("uniform", 101), ("beta22", 102), ("normal", 103)])
+    def test_criterion_3_keys_keep_the_identity(self, kind, seed):
+        cfg = BenchConfig(dataset=DatasetSpec(kind, n=10**6, seed=seed), n_sub=10**6, seed=seed)
+        A = prepare_keys(cfg)
+        assert _choose_shift(A.keys, float(A.keys[0]), float(A.keys[-1])) is None
+        assert serialize_index(build_espc(A, 1000))[:5] == b"ESPC2"
+
+    def test_shifted_cells_cut_the_heavy_tail(self):
+        A = _lognormal_keys(10**5)
+        k = choose_k(SizingPolicy("sublinear"), A.n)
+        idx = build_espc(A, k)
+        lo, hi = idx.x_first, idx.x_last
+        busiest = np.bincount(assign_intervals(A.keys, lo, idx.delta, k, idx.shift)).max()
+        assert busiest * 100 < np.bincount(assign_intervals(A.keys, lo, (hi - lo) / k, k)).max()
+        queries = A.keys[::97]
+        counts = evaluate_rank_many(idx, A, queries)[1]
+        assert counts.mean() < 12
+
+    def test_log_scale_build_holds_what_an_equal_split_holds(self):
+        n = 10**6
+        peaks = []
+        for A in (validate_key_array(np.linspace(0.0, 1.0, n), FLOAT_MODE), _lognormal_keys(n)):
+            tracemalloc.start()
+            try:
+                idx = build_espc(A, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert idx.shift is not None
+        assert peaks[1] < peaks[0] + 2**17  # the key pass's two n-sized buffers, and the sample's
+
+    def test_scalar_g_equals_numpy_g(self):
+        # assign_intervals at step 1 returns ceil(g) = g, an integer-valued float, unclamped.
+        rng = np.random.default_rng(43)
+        tiny = np.array([5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308])
+        values = np.concatenate([
+            rng.random(2000), rng.lognormal(0.0, 5.0, 2000), tiny, np.nextafter(tiny, 1.0),
+            [1e300, 1e308, 1.7976931348623157e308, 3.0, 2.0**-1022],
+        ])
+        for shift in (-1e-320, -5e-324, -1e-300, -1e-3, -1.0, -1e307):
+            lo = float(values.min())
+            got = assign_intervals(values, lo, 1.0, 2**62, shift)
+            want = [min(max(math.ceil(float(_bits(v - shift) - _bits(lo - shift))), 1), 2**62)
+                    for v in values.tolist()]
+            assert got.tolist() == want
+            assert [_bits(v) for v in values.tolist()] == values.view(np.int64).tolist()
+            # Cells of a few units of g: the scalar rule rounds g exactly as numpy does.
+            hi = float(values.max())
+            k = 2**50
+            idx = EspcIndex(K=k, delta=_span(lo, hi, shift) / k, x_first=lo, x_last=hi, n=1,
+                            t=np.zeros(1, np.uint32), shift=shift)  # _cell reads no slot
+            cells = assign_intervals(values, lo, idx.delta, k, shift)
+            assert cells.tolist() == [_cell(idx, v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("lo, hi, shift", [
+        (0.0, 1e-300, -1e-320),  # g starts among the subnormals
+        (5e-324, 1e-310, 0.0),
+        (1e300, 1.7e308, 1e300 - 1e305),  # huge keys
+        (-3.0, 1e6, -3.5),
+    ])
+    def test_scalar_and_batched_cells_agree(self, lo, hi, shift):
+        k = 1000
+        idx = EspcIndex(K=k, delta=_span(lo, hi, shift) / k, x_first=lo, x_last=hi, n=k,
+                        t=np.arange(k, dtype=np.uint32) * 2 + 1, shift=shift)
+        rng = np.random.default_rng(44)
+        unit = rng.random(3000)
+        qs = np.concatenate([
+            lo + unit * (hi - lo), lo + unit**40 * (hi - lo),  # most near lo, where g is steep
+            [lo, hi, np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf), -math.inf, math.inf],
+            np.nextafter(lo, -math.inf) - unit[:5],
+            [np.nextafter(hi, math.inf), min(2 * hi, 1e308)],
+        ])
+        many = predict_many(idx, qs)
+        assert many.tobytes() == np.array([predict(idx, float(q)) for q in qs]).tobytes()
+        inside = qs[(qs >= lo) & (qs <= hi)]
+        cells = assign_intervals(inside, lo, idx.delta, k, shift)
+        assert cells.tolist() == [_cell(idx, float(q)) for q in inside]
+        assert len(set(cells.tolist())) > k // 10  # the queries reach many cells
+
+    def test_batched_predict_raises_no_warning(self):
+        idx = build_espc(_lognormal_keys(20_000), 500)
+        assert idx.shift is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = predict_many(idx, [-math.inf, -1e308, 0.0, 1e308, math.inf, idx.x_last])
+        assert out.tolist() == [0.0, 0.0, 0.0, idx.n, idx.n, predict(idx, idx.x_last)]
+
+    def test_espc3_round_trip(self, tmp_path):
+        A = _lognormal_keys(30_000)
+        for k in (1, 7, 5000, 60_000):
+            idx = build_espc(A, k)
+            blob = serialize_index(idx)
+            assert blob[:5] == b"ESPC3" and len(blob) == HEADER_BYTES + SLOT_BYTES * k
+            assert struct.unpack_from("<d", blob, 5 + 16 + 16)[0] == idx.shift
+            again = deserialize_index(blob)
+            assert (again.shift, again.delta, again.K, again.n) == (idx.shift, idx.delta, k, idx.n)
+            assert serialize_index(again) == blob
+            save_index(idx, tmp_path / "i.espc")
+            assert (tmp_path / "i.espc").read_bytes() == blob
+            copied = pickle.loads(pickle.dumps(idx))
+            for q in A.keys[::1111].tolist():
+                assert evaluate_rank(again, A, q) == evaluate_rank(idx, A, q)
+                assert evaluate_rank(copied, A, q) == evaluate_rank(idx, A, q)
+
+    def test_save_index_writes_the_serialized_blob(self, tmp_path):
+        for idx in (build_espc(_four_keys(), 2), build_espc(_lognormal_keys(9000), 64)):
+            save_index(idx, tmp_path / "i.espc")
+            assert (tmp_path / "i.espc").read_bytes() == serialize_index(idx)
+            assert load_index(tmp_path / "i.espc").shift == idx.shift
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x_first", "above", -1e308])
+    def test_espc3_refuses_a_bad_shift(self, bad):
+        idx = build_espc(_lognormal_keys(10_000), 50)
+        shift = {"x_first": idx.x_first, "above": idx.x_first + 1.0}.get(bad, bad)
+        blob = bytearray(serialize_index(idx))
+        struct.pack_into("<d", blob, 5 + 16 + 16, shift)  # -1e308: x_last - shift overflows
         with pytest.raises(InvalidIndexFile):
             deserialize_index(bytes(blob))

@@ -17,7 +17,11 @@ sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
 histogram density is positive at every key it was fitted to, and its
 heights are the counts of its bins as index cells.  Counting sorted keys by
 bisection gives the counts of one pass over every key, and the
-Freedman-Diaconis width reads the quartiles numpy computes.
+Freedman-Diaconis width reads the quartiles numpy computes.  On heavy-tailed
+keys above the size floor, whose cells are cut on a log scale, every lookup
+path still gives the oracle's ranks and the scalar counts, the scalar and
+batched estimates agree bit for bit, and the blobs round-trip; below the
+floor the cells stay equal in x.
 """
 
 import math
@@ -36,6 +40,7 @@ from espc.errors import (
     InvalidK,
 )
 from espc.index import (
+    SHIFT_FLOOR,
     _cell_counts,
     _cell_starts,
     assign_intervals,
@@ -46,6 +51,7 @@ from espc.index import (
     evaluate_rank_hier,
     evaluate_rank_many,
     predict,
+    predict_many,
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search, exponential_search_many
@@ -428,3 +434,78 @@ def test_fd_width_reads_numpy_quartiles(A):
         else:
             with pytest.raises((DegenerateIqrWarning, DegenerateIQR)):
                 fd_bin_width(A)
+
+
+_HEAVY_TAILS = {
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 2.0, n),
+    "pareto": lambda rng, n: rng.pareto(1.5, n),
+    "exponential": lambda rng, n: rng.exponential(1.0, n),
+}
+
+
+@st.composite
+def heavy_tailed_keys(draw, floor=SHIFT_FLOOR, top=3 * SHIFT_FLOOR):
+    """Lognormal, Pareto or exponential draws: floats with an offset, or integers above 2^60."""
+    dist = draw(st.sampled_from(sorted(_HEAVY_TAILS)))
+    n = draw(st.integers(floor, top))
+    draws = _HEAVY_TAILS[dist](np.random.default_rng(draw(st.integers(0, 2**32))), n)
+    if draw(st.booleans()):  # integers that float64 rounds, to multiples of 256
+        return validate_key_array(2**60 + np.floor(draws * 2**30).astype(np.uint64), INT_MODE)
+    return validate_key_array(draws + draw(st.sampled_from([0.0, -7.5, 1e6])), FLOAT_MODE)
+
+
+def _heavy_queries(A, rng):
+    """Keys, their neighbours, values between keys and values outside, as two numpy arrays."""
+    keys = A.keys[rng.integers(0, A.n, 24)]
+    lo, hi = float(A.keys[0]), float(A.keys[-1])
+    spread = lo + (rng.random(12) * 1.2 - 0.1) * (hi - lo)
+    if A.mode == INT_MODE:
+        ints = np.concatenate([keys, keys + 1, keys - 1, A.keys[[0, -1]]]).astype(np.uint64)
+        floats = np.concatenate([keys.astype(np.float64) + 0.5, spread, [hi + 0.5, 2.0**64]])
+        return ints, floats
+    near = np.nextafter(keys, np.where(rng.random(24) < 0.5, -np.inf, np.inf))
+    floats = np.concatenate([keys, near, spread, A.keys[[0, -1]], [-np.inf, np.inf]])
+    return None, floats
+
+
+@hypothesis.settings(max_examples=25)
+@given(heavy_tailed_keys(), st.sampled_from([0.1, 1.0, 2.0]), st.integers(0, 2**32))
+def test_log_scale_cells_keep_every_lookup_exact(A, per_key, seed):
+    rng = np.random.default_rng(seed)
+    k = max(1, int(A.n * per_key))
+    idx = build_espc(A, k)
+    h = build_equal_probability(A, A.n // 2, A.n // 2)
+    loaded = deserialize_index(serialize_index(idx))
+    assert (loaded.shift, loaded.delta) == (idx.shift, idx.delta)
+    for qs in _heavy_queries(A, rng):
+        if qs is None:
+            continue
+        ranks, counts = evaluate_rank_many(idx, A, qs)
+        scalar = [evaluate_rank(idx, A, q) for q in qs.tolist()]
+        assert ranks.tolist() == [rank_bruteforce(A, q) for q in qs.tolist()]
+        assert [tuple(out) for out in scalar] == list(zip(ranks.tolist(), counts.tolist()))
+        assert [evaluate_rank(loaded, A, q) for q in qs.tolist()] == scalar
+        assert [evaluate_rank_hier(h, A, q).rank for q in qs.tolist()] == ranks.tolist()
+        values = qs.astype(np.float64)
+        assert predict_many(idx, values).tobytes() == np.array(
+            [predict(idx, q) for q in values.tolist()]).tobytes()
+
+
+@hypothesis.settings(max_examples=25)
+@given(heavy_tailed_keys(floor=2, top=SHIFT_FLOOR - 1), st.integers(1, 2000))
+def test_arrays_below_the_floor_keep_equal_cells_in_x(A, k):
+    idx = _buildable(build_espc, A, k)
+    if idx is not None:
+        assert idx.shift is None
+        assert serialize_index(idx)[:5] == b"ESPC2"
+
+
+@hypothesis.settings(max_examples=25)
+@given(heavy_tailed_keys(), st.integers(1, 40))
+def test_log_scale_bisection_counts_equal_one_pass(A, k):
+    lo, hi = float(A.keys[0]), float(A.keys[-1])
+    shift = build_espc(A, 1).shift
+    hypothesis.assume(shift is not None)
+    counts, step = _cell_counts(A.keys, lo, hi, k, shift)  # one pass below the switch
+    bisected = np.diff(_cell_starts(A.keys, lo, step, k, shift), prepend=0, append=A.n)
+    assert np.array_equal(counts, bisected)
