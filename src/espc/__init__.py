@@ -3,8 +3,8 @@
 A lookup predicts the rank of a key with one stored estimate per
 equal-length interval, then corrects the prediction exactly with an
 exponential search.  The package also ships the matching error-bound
-calculators, a Monte-Carlo estimator for the density norm that drives
-those bounds, dataset tooling, and a benchmark harness.
+calculators, an estimator for the density norm that drives those
+bounds, dataset tooling, and a benchmark harness.
 """
 
 from .bench import (
@@ -35,7 +35,6 @@ from .index import (
     EspcIndex,
     HierIndex,
     SizingPolicy,
-    approximation_error,
     build_equal_probability,
     build_espc,
     choose_k,

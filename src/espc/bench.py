@@ -44,7 +44,6 @@ class BenchConfig:
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
     queries: int = 100_000
     query_dist: DatasetSpec | None = None
-    rho_draws: int = 100_000
     rho_method: str = HISTOGRAM
     seed: int = 0
     rescale: bool = True
@@ -160,11 +159,11 @@ def run_error_experiment(cfg: BenchConfig) -> list[BenchRecord]:
     queries = draw_queries(cfg, keys)
     ranks = exact_ranks(keys, queries)
     lo, hi = float(keys.keys[0]), float(keys.keys[-1])
-    rho = estimate_rho(keys, cfg.rho_draws, cfg.rho_method, seed=cfg.seed).value
+    rho = estimate_rho(keys, method=cfg.rho_method).value
     bound = partial(error_bound_rho, rho=rho)
     if cfg.query_dist is not None:
         sample = validate_key_array(queries, FLOAT_MODE)
-        rho_q = estimate_rho(sample, cfg.rho_draws, cfg.rho_method, seed=cfg.seed + 3).value
+        rho_q = estimate_rho(sample, method=cfg.rho_method).value
         lo, hi = min(lo, float(sample.keys[0])), max(hi, float(sample.keys[-1]))
         bound = partial(error_bound_query_dist, rho_keys=rho, rho_queries=rho_q)
 

@@ -119,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=MODES, default=INT_MODE)
     p.add_argument("--method", choices=(HISTOGRAM, KERNEL), default=HISTOGRAM)
-    p.add_argument("--draws", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bandwidth", type=float, default=None)
     p.set_defaults(func=_cmd_rho)
 
@@ -143,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=_int_tuple, help="comma-separated interval counts")
     p.add_argument("--queries", type=int, default=None)
     p.add_argument("--query-kind", choices=SYNTHETIC_KINDS, default=None)
-    p.add_argument("--rho-draws", type=int, default=None)
     p.add_argument("--rho-method", choices=(HISTOGRAM, KERNEL), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-rescale", dest="rescale", action="store_false", default=None)
@@ -212,8 +209,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_rho(args) -> int:
     keys = read_sosd(args.data, mode=args.mode)
-    est = estimate_rho(keys, args.draws, args.method, seed=args.seed, bandwidth=args.bandwidth)
-    line = f"rho={est.value:.6g} draws={est.draws} method={est.method} seed={est.seed}"
+    est = estimate_rho(keys, method=args.method, bandwidth=args.bandwidth)
+    line = f"rho={est.value:.6g} method={est.method}"
     if 0.0 <= float(keys.keys[0]) and float(keys.keys[-1]) <= 1.0 and est.value > 0:
         # On unit-span data -ln(rho) doubles as the order-2 differential entropy.
         line += f" h2_hat={-math.log(est.value):.6g}"
@@ -319,7 +316,7 @@ def _spec_from_dict(entry) -> DatasetSpec:
 # flags that override an entry carry its name (dataset and query_dist have their own).
 _CONFIG_FIELDS = {
     "dataset": _spec_from_dict, "n_sub": int, "k_grid": _int_tuple, "queries": int,
-    "query_dist": _spec_from_dict, "rho_draws": int, "rho_method": str, "seed": int,
+    "query_dist": _spec_from_dict, "rho_method": str, "seed": int,
     "rescale": bool, "output": str,
 }
 

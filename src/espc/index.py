@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT_MODE, KeyArray, int_key_queries, rank_bruteforce
+from .core import INT_MODE, KeyArray, int_key_queries
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -40,7 +40,6 @@ MAGIC = b"ESPC2"
 SLOT_BYTES = 4
 HEADER_BYTES = len(MAGIC) + 2 * 8 + 3 * 8  # magic, n, K, x_first, x_last, delta
 MAGIC_SHIFTED = b"ESPC3"  # the same layout, with the shift s of g where ESPC2 has delta
-MAGIC_V1 = b"ESPC1"  # the earlier layout: the same header, then r = t/2 as float64
 MAX_KEYS = 2**31 - 1  # the most keys n for which every slot, up to 2n, fits a uint32
 SHIFT_FLOOR = 8192  # fewest keys for which build_espc considers cutting on a log scale
 _SHIFT_FRACTIONS = (1e-9, 1e-6, 1e-3)  # candidate shifts s = x_first - c * (x_last - x_first)
@@ -413,22 +412,12 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     return ranks, comparisons
 
 
-def approximation_error(idx: EspcIndex, A: KeyArray, q) -> float:
-    """Absolute prediction error |rank(q) - estimate(q)|.
-
-    Zero outside the key range; at most (keys in q's interval)/2 inside.
-    """
-    return abs(rank_bruteforce(A, q) - predict(idx, q))
-
-
 # --- sizing policies -------------------------------------------------------
 
 LINEAR = "linear"
 SUBLINEAR = "sublinear"
-CHEBYSHEV = "chebyshev"
-SUBEXPONENTIAL = "subexponential"
 
-POLICY_KINDS = (LINEAR, SUBLINEAR, CHEBYSHEV, SUBEXPONENTIAL)
+POLICY_KINDS = (LINEAR, SUBLINEAR)
 
 
 @dataclass(frozen=True)
@@ -437,9 +426,7 @@ class SizingPolicy:
 
     ``linear`` (K = n) buys constant expected lookup cost for densities
     with bounded support; ``sublinear`` (K = n/log2 n) trades down to
-    log-log cost.  ``chebyshev`` (K = n*sqrt(n ln n), needs finite
-    mean/variance) and ``subexponential`` (K = n ln n, needs exponential
-    tails) cover unbounded supports by oversizing the index.
+    log-log cost.
     """
 
     kind: str
@@ -459,11 +446,7 @@ def choose_k(policy: SizingPolicy, n: int) -> int:
         raise InvalidPolicyParams(f"sizing needs n >= 2, got {n}")
     if policy.kind == LINEAR:
         return n
-    if policy.kind == SUBLINEAR:
-        return max(1, math.ceil(n / math.log2(n)))
-    if policy.kind == CHEBYSHEV:
-        return max(1, math.ceil(n * math.sqrt(n * math.log(n))))
-    return max(1, math.ceil(n * math.log(n)))
+    return math.ceil(n / math.log2(n))
 
 
 # --- two-layer equal-probability variant -----------------------------------
@@ -563,7 +546,7 @@ def _slot_view(idx: EspcIndex) -> memoryview:
 
 
 def deserialize_index(blob: bytes) -> EspcIndex:
-    """Inverse of :func:`serialize_index`; also loads ``ESPC1`` blobs, whose slots are r = t/2.
+    """Inverse of :func:`serialize_index`.
 
     The slots must count a partition of the n keys: the running counts
     c_k = t_k - c_{k-1}, from c_0 = 0, are non-decreasing and end at c_K = n.
@@ -573,14 +556,13 @@ def deserialize_index(blob: bytes) -> EspcIndex:
             or slot that :func:`build_espc` cannot produce.
     """
     magic = blob[: len(MAGIC)]
-    slot_bytes = {MAGIC: SLOT_BYTES, MAGIC_SHIFTED: SLOT_BYTES, MAGIC_V1: 8}.get(magic)
-    if len(blob) < HEADER_BYTES or slot_bytes is None:
+    if len(blob) < HEADER_BYTES or magic not in (MAGIC, MAGIC_SHIFTED):
         raise InvalidIndexFile("not a serialized index (bad magic)")
     n, k = struct.unpack_from("<QQ", blob, len(MAGIC))
     x_first, x_last, delta = struct.unpack_from("<ddd", blob, len(MAGIC) + 16)
-    if len(blob) != HEADER_BYTES + slot_bytes * k:
+    if len(blob) != HEADER_BYTES + SLOT_BYTES * k:
         raise InvalidIndexFile(
-            f"expected {HEADER_BYTES + slot_bytes * k} bytes for K={k}, got {len(blob)}"
+            f"expected {HEADER_BYTES + SLOT_BYTES * k} bytes for K={k}, got {len(blob)}"
         )
     if not (k >= 1 and 1 <= n <= MAX_KEYS and -math.inf < x_first <= x_last < math.inf):
         raise InvalidIndexFile(f"bad header: n={n}, K={k}, range [{x_first}, {x_last}]")
@@ -593,14 +575,7 @@ def deserialize_index(blob: bytes) -> EspcIndex:
         delta = _span(x_first, x_last, shift) / k  # g(x_last) >= 1, so 0 < delta < inf
     elif not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
         raise InvalidIndexFile(f"interval length {delta} does not split the range into K={k}")
-    if magic == MAGIC_V1:
-        t2 = 2 * np.frombuffer(blob, dtype="<f8", count=k, offset=HEADER_BYTES)
-        # NaN and infinities fail the range test, so the cast below sees only integers.
-        if not np.all((t2 >= 0) & (t2 <= 2 * n) & (t2 == np.floor(t2))):
-            raise InvalidIndexFile(f"slots are not half-integers within [0, {n}]")
-        t = t2.astype(np.uint32)
-    else:
-        t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).copy()
+    t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).copy()
     c = t.astype(np.int64)  # c_k = t_k - t_{k-1} + t_{k-2} - ...: one signed cumulative sum
     c[1::2] *= -1
     np.cumsum(c, out=c)

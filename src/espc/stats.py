@@ -3,9 +3,10 @@
 The expected prediction error of an equal-split index is controlled by the
 collision probability sum(p_k^2) of the key distribution over equal-length
 cells, or equivalently by the squared L2 norm of the key density
-(``rho = integral of f^2``, which equals E[f] and is therefore estimable
-by Monte Carlo).  This module computes the empirical cell probabilities,
-the order-2 Renyi entropy, the closed-form bounds, and the rho estimator.
+(``rho = integral of f^2``, which equals E[f(X)] and is therefore estimable
+as the mean of a fitted density over the keys).  This module computes the
+empirical cell probabilities, the order-2 Renyi entropy, the closed-form
+bounds, and the rho estimator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ KERNEL = "kernel"
 
 _KDE_GRID_SIZE = 2048
 _KDE_TAIL_CUT = 4.0  # kernel support, in bandwidths, kept on each side
+_RHO_BLOCK = 1 << 16  # keys per kernel evaluation: bounds its temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +259,10 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     Raises:
         InvalidParams: n < 2, the bandwidth is not positive (e.g. all keys
             equal and none supplied), the padded range has no 2 048 cells
-            (its ends round to one float, or the cell length is 0 or infinite),
-            or the kernel's widest offset, in bandwidths, overflows its square.
+            (its ends round to one float, the cell length is 0 or infinite,
+            or the grid points are not distinct floats), the kernel's widest
+            offset, in bandwidths, overflows its square, or the heights' slopes
+            between grid points overflow.
     """
     n = A.n
     if n < 2:
@@ -271,10 +275,14 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
 
     pad = _KDE_TAIL_CUT * bandwidth
     lo, hi = float(vals[0]) - pad, float(vals[-1]) + pad
+    no_grid = f"bandwidth {bandwidth}: no {_KDE_GRID_SIZE} cells in [{lo}, {hi}]"
     if not 0.0 < (hi - lo) / _KDE_GRID_SIZE < math.inf:
-        raise InvalidParams(f"bandwidth {bandwidth}: no {_KDE_GRID_SIZE} cells in [{lo}, {hi}]")
-    counts, _ = _cell_counts(A.keys, lo, hi, _KDE_GRID_SIZE)
+        raise InvalidParams(no_grid)
     grid_x = np.linspace(lo, hi, _KDE_GRID_SIZE)
+    gap = float(np.min(np.diff(grid_x)))
+    if not gap > 0.0:  # grid steps under the floats' spacing
+        raise InvalidParams(no_grid)
+    counts, _ = _cell_counts(A.keys, lo, hi, _KDE_GRID_SIZE)
     step = grid_x[1] - grid_x[0]
     mass = counts / n
     half = min(int(math.ceil(pad / step)), (_KDE_GRID_SIZE - 1) // 2)
@@ -285,62 +293,59 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     offsets = np.arange(-half, half + 1) * step
     kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2) / (bandwidth * math.sqrt(2.0 * math.pi))
     heights = np.convolve(mass, kernel, mode="same")
+    if not float(heights.max()) / gap < math.inf:  # np.interp's slopes between grid points
+        raise InvalidParams(f"bandwidth {bandwidth}: the heights' slopes overflow")
     heights.setflags(write=False)
     return DensityEstimate(kind=KERNEL, a=lo, b=hi, heights=heights)
 
 
-# --- Monte-Carlo estimate of the density norm -------------------------------
+# --- the density norm -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RhoEstimate:
-    """Monte-Carlo estimate of the squared L2 norm of the key density.
+    """Estimate of the squared L2 norm of the key density, by ``method``.
 
     Never much below 1/(b-a): the uniform density minimizes the norm on a
-    bounded support.  Deterministic given (data, draws, method, seed).
+    bounded support.  Deterministic given (data, method, bandwidth).
     """
 
     value: float
-    draws: int
     method: str
-    seed: int
 
 
 def estimate_rho(
     A: KeyArray,
-    draws: int,
+    draws=None,
     method: str = HISTOGRAM,
-    seed: int = 0,
+    seed=None,
     bandwidth: float | None = None,
 ) -> RhoEstimate:
-    """Estimate integral(f^2) = E[f] by averaging a density estimate.
+    """Estimate integral(f^2) = E[f(X)] as the mean of a fitted density over every key.
 
-    Samples ``draws`` keys uniformly with replacement from ``A`` (seeded),
-    evaluates the fitted density estimate at each, and averages in index
-    order.  The histogram method uses the Freedman-Diaconis width; the
-    kernel method uses :func:`kde_density`.
+    The histogram method fits the Freedman-Diaconis width; over bins of width w
+    holding n_k keys its mean is sum(n_k^2)/(n^2 w), read off the heights
+    h_k = n_k/(n w) as sum(h_k * h_k w).  The kernel method evaluates
+    :func:`kde_density` at every key, :data:`_RHO_BLOCK` keys at a time, as it has
+    no closed form between its grid points.  Either value is the exact expectation
+    of averaging the estimate at keys drawn uniformly with replacement.
+
+    ``draws`` and ``seed`` are ignored: they sized and seeded such draws, and
+    remain only so that callers which still pass them keep running.
 
     Raises:
-        InvalidParams: draws < 1, seed < 0, unknown method, a bandwidth with
-            the histogram method, or more draws than can be allocated.
+        InvalidParams: unknown method, or a bandwidth with the histogram method.
     """
-    if draws < 1:
-        raise InvalidParams(f"need at least one draw, got {draws}")
-    if seed < 0:
-        raise InvalidParams(f"seed must be non-negative, got {seed}")
     if method == HISTOGRAM:
         if bandwidth is not None:
             raise InvalidParams(f"bandwidth {bandwidth} applies only to the {KERNEL} method")
         density = histogram_density(A, fd_bin_width(A))
-    elif method == KERNEL:
+        h = density.heights
+        w = (density.b - density.a) / len(h)
+        return RhoEstimate(value=float(np.dot(h, h * w)), method=method)
+    if method == KERNEL:
         density = kde_density(A, bandwidth=bandwidth)
-    else:
-        raise InvalidParams(f"unknown density method {method!r}")
-    rng = np.random.default_rng(seed)
-    try:
-        picks = rng.integers(0, A.n, size=draws)
-    except (MemoryError, ValueError, OverflowError) as exc:  # too many draws to allocate
-        raise InvalidParams(f"cannot allocate {draws} draws") from exc
-    z = A.keys[picks]
-    value = float(np.sum(density(z)) / draws)
-    return RhoEstimate(value=value, draws=draws, method=method, seed=seed)
+        total = sum(float(np.sum(density(A.keys[i:i + _RHO_BLOCK])))
+                    for i in range(0, A.n, _RHO_BLOCK))
+        return RhoEstimate(value=total / A.n, method=method)
+    raise InvalidParams(f"unknown density method {method!r}")

@@ -51,7 +51,6 @@ from espc.stats import (
 GRID = (100, 1_000, 10_000, 100_000)
 N_FULL = 1_000_000
 QUERIES = 100_000
-RHO_DRAWS = 100_000
 
 
 def _report(num, desc, ok, detail=""):
@@ -70,7 +69,6 @@ def grid_runs():
             n_sub=N_FULL,
             k_grid=GRID,
             queries=QUERIES,
-            rho_draws=RHO_DRAWS,
             seed=seed,
         )
         keys = prepare_keys(cfg)
@@ -249,11 +247,11 @@ def test_criterion_6_loglog_cost_with_sublinear_space(size_sweep):
 
 def test_criterion_7_rho_estimator_accuracy():
     uniform = generate(DatasetSpec("uniform", n=N_FULL, seed=401))
-    rho_u = estimate_rho(uniform, RHO_DRAWS, HISTOGRAM, seed=1).value
+    rho_u = estimate_rho(uniform).value
     beta = generate(DatasetSpec("beta22", n=N_FULL, seed=402))
-    rho_b = estimate_rho(beta, RHO_DRAWS, HISTOGRAM, seed=1).value
+    rho_b = estimate_rho(beta).value
     truncated = rescale_unit(generate(DatasetSpec("normal", n=N_FULL, seed=403)))
-    rho_t = estimate_rho(truncated, RHO_DRAWS, HISTOGRAM, seed=1).value
+    rho_t = estimate_rho(truncated).value
     ok = abs(rho_u - 1.0) <= 0.05 and abs(rho_b - 1.2) <= 0.06 and rho_t > 0
     assert _report(
         7,
@@ -284,7 +282,7 @@ def test_criterion_7b_rho_on_benchmark_files_if_present():
             keys = subsample(keys, 10_000_000, seed=5)
         keys = rescale_unit(keys)
         method = KERNEL if name == "osm" else HISTOGRAM
-        results[name] = estimate_rho(keys, RHO_DRAWS, method, seed=5).value
+        results[name] = estimate_rho(keys, method=method).value
     bad = {
         name: value
         for name, value in results.items()
@@ -360,7 +358,6 @@ def test_criterion_10_query_distribution_bound():
         k_grid=GRID,
         queries=QUERIES,
         query_dist=DatasetSpec("beta22"),
-        rho_draws=RHO_DRAWS,
         seed=405,
     )
     records = run_error_experiment(cfg)

@@ -32,7 +32,6 @@ def _small_cfg(**overrides):
         n_sub=100_000,
         k_grid=(100, 1_000),
         queries=5_000,
-        rho_draws=20_000,
         seed=11,
     )
     base.update(overrides)
@@ -89,6 +88,13 @@ class TestRunErrorExperiment:
             assert ra.mean_error == rb.mean_error
             assert ra.mean_comparisons == rb.mean_comparisons
             assert ra.bound == rb.bound
+
+    def test_rho_and_bound_do_not_depend_on_the_seed(self):
+        # All keys kept and queries drawn from them: the seed moves only the queries.
+        runs = [run_error_experiment(_small_cfg(n_sub=0, queries=2_000, seed=s)) for s in (3, 4)]
+        for ra, rb in zip(*runs):
+            assert (ra.rho, ra.bound) == (rb.rho, rb.bound)
+        assert [r.mean_error for r in runs[0]] != [r.mean_error for r in runs[1]]
 
     def test_query_distribution_changes_workload(self):
         cfg = _small_cfg(query_dist=DatasetSpec("beta22"))

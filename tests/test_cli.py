@@ -161,7 +161,7 @@ class TestRhoAndEntropy:
                       "--out", data])
         code, out, _ = _run(
             capsys,
-            ["rho", "--data", data, "--mode", "float64", "--draws", "20000", "--seed", "1"],
+            ["rho", "--data", data, "--mode", "float64"],
         )
         assert code == 0
         value = float(out.split("rho=")[1].split()[0])
@@ -172,7 +172,7 @@ class TestRhoAndEntropy:
         data = str(tmp_path / "u.sosd")
         _run(capsys, ["generate", "--kind", "beta22", "--n", "50000", "--seed", "6",
                       "--out", data])
-        argv = ["rho", "--data", data, "--mode", "float64", "--draws", "5000", "--seed", "2"]
+        argv = ["rho", "--data", data, "--mode", "float64"]
         _, first, _ = _run(capsys, argv)
         _, second, _ = _run(capsys, argv)
         assert first == second
@@ -197,8 +197,8 @@ class TestBench:
         code, out, _ = _run(
             capsys,
             ["bench", "--kind", "uniform", "--n", "50000", "--n-sub", "50000",
-             "--k-grid", "64,512", "--queries", "2000", "--rho-draws", "5000",
-             "--seed", "4", "--check", "--out", csv_path],
+             "--k-grid", "64,512", "--queries", "2000", "--seed", "4", "--check",
+             "--out", csv_path],
         )
         assert code == 0
         assert "mean_error=" in out
@@ -213,8 +213,8 @@ class TestBench:
             code, _, _ = _run(
                 capsys,
                 ["bench", "--data", str(data), "--mode", FLOAT_MODE, "--n-sub", "5000",
-                 "--k-grid", "16,128", "--queries", "2000", "--rho-draws", "5000",
-                 "--seed", "4", "--check", "--out", str(csv_path)],
+                 "--k-grid", "16,128", "--queries", "2000", "--seed", "4", "--check",
+                 "--out", str(csv_path)],
             )
             assert code == 0
             with open(csv_path, newline="") as fh:
@@ -366,12 +366,9 @@ def _text_sigma(tmp_path):
 
 def _negative_seed(verb):
     def argv(tmp_path):
-        path = tmp_path / "keys.sosd"
-        write_sosd(path, validate_key_array(list(range(100)), FLOAT_MODE))
         tail = {
             "bench": ["--kind", "uniform", "--n", "1000", "--k-grid", "10", "--queries", "10"],
             "generate": ["--kind", "uniform", "--n", "10", "--out", str(tmp_path / "g.sosd")],
-            "rho": ["--data", str(path), "--mode", "float64"],
         }[verb]
         return [verb, *tail, "--seed", "-1"], "seed"
 
@@ -389,19 +386,10 @@ def _bad_k(verb, k, keys=tuple(range(10)), mode=INT_MODE):
     return argv
 
 
-def _huge_draws(verb):
+def _generate_huge_n(tmp_path):
     # 10^15 draws cannot be allocated anywhere; never use a count that might be.
-    def argv(tmp_path):
-        path = tmp_path / "keys.sosd"
-        write_sosd(path, validate_key_array(list(range(10)), FLOAT_MODE))
-        tail = {
-            "generate": ["generate", "--kind", "uniform", "--n", str(10**15),
-                         "--out", str(tmp_path / "g.sosd")],
-            "rho": ["rho", "--data", str(path), "--mode", "float64", "--draws", str(10**15)],
-        }[verb]
-        return tail, str(10**15)
-
-    return argv
+    argv = ["generate", "--kind", "uniform", "--n", str(10**15), "--out", str(tmp_path / "g.sosd")]
+    return argv, str(10**15)
 
 
 def _rho_on(keys, culprit, *flags):
@@ -428,14 +416,12 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _truncated_gz,
         _negative_seed("bench"),
         _negative_seed("generate"),
-        _negative_seed("rho"),
         _text_sigma,
         _bad_k("build", str(10**15)),
         _bad_k("entropy", str(10**15)),
         _bad_k("entropy", str(2**63)),
         _bad_k("entropy", "3", keys=(0.0, 5e-324), mode=FLOAT_MODE),
-        _huge_draws("generate"),
-        _huge_draws("rho"),
+        _generate_huge_n,
         _rho_on([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 1e10], "bin width"),
         _rho_on([0.0, 1e-300, 2e-300, 3e-300, 4e-300, 1e10], "bin width"),
         _rho_on([1.0] * 4, "bandwidth", "--method", "kernel", "--bandwidth", "1e-300"),
@@ -443,9 +429,9 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _rho_on(range(10), "bandwidth", "--bandwidth", "0.1"),
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
-         "truncated_gz", "negative_seed_bench", "negative_seed_generate", "negative_seed_rho",
+         "truncated_gz", "negative_seed_bench", "negative_seed_generate",
          "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow",
-         "generate_huge_n", "rho_huge_draws", "rho_bins_past_int64", "rho_infinite_bins",
+         "generate_huge_n", "rho_bins_past_int64", "rho_infinite_bins",
          "kernel_range_unsplittable", "kernel_offsets_overflow", "histogram_bandwidth"],
 )
 def test_bad_input_exits_with_error_line(tmp_path, capsys, make_argv):

@@ -16,8 +16,9 @@ sides of the bisection switch.  Validation
 sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
 histogram density is positive at every key it was fitted to, and its
 heights are the counts of its bins as index cells.  Counting sorted keys by
-bisection gives the counts of one pass over every key, and the
-Freedman-Diaconis width reads the quartiles numpy computes.  On heavy-tailed
+bisection gives the counts of one pass over every key, the
+Freedman-Diaconis width reads the quartiles numpy computes, and the density
+norm is the mean of either fitted density over every key.  On heavy-tailed
 keys above the size floor, whose cells are cut on a log scale, every lookup
 path still gives the oracle's ranks and the scalar counts, the scalar and
 batched estimates agree bit for bit, and the blobs round-trip; below the
@@ -38,6 +39,8 @@ from espc.errors import (
     IndexMismatch,
     InvalidIndexFile,
     InvalidK,
+    InvalidParams,
+    InvalidWidth,
 )
 from espc.index import (
     SHIFT_FLOOR,
@@ -55,7 +58,15 @@ from espc.index import (
     serialize_index,
 )
 from espc.search import binary_search_rank, exponential_search, exponential_search_many
-from espc.stats import fd_bin_width, histogram_density, partition_probabilities
+from espc.stats import (
+    HISTOGRAM,
+    KERNEL,
+    estimate_rho,
+    fd_bin_width,
+    histogram_density,
+    kde_density,
+    partition_probabilities,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 given, example, st = hypothesis.given, hypothesis.example, hypothesis.strategies
@@ -434,6 +445,35 @@ def test_fd_width_reads_numpy_quartiles(A):
         else:
             with pytest.raises((DegenerateIqrWarning, DegenerateIQR)):
                 fd_bin_width(A)
+
+
+# Float keys for the density norm: arbitrary values, ties from a small pool (the
+# zero-IQR fallback among them), and ranges a few hundred float steps wide.
+_MODEST = st.floats(-1e100, 1e100)  # np.std of larger keys can overflow
+_rho_keys = st.one_of(
+    st.lists(_MODEST, min_size=4, max_size=60).map(np.array),
+    _pooled(_MODEST, np.float64),
+    st.lists(st.integers(0, 400), min_size=4, max_size=300).map(
+        lambda steps: 1e15 + 0.125 * np.array(steps, dtype=np.float64)
+    ),
+).map(lambda raw: validate_key_array(raw, FLOAT_MODE))
+
+
+@given(_rho_keys)
+def test_rho_is_the_mean_density_over_every_key(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateIqrWarning)
+        try:
+            width = fd_bin_width(A)
+            hypothesis.assume((float(A.keys[-1]) - float(A.keys[0])) / width <= 1e5)  # affordable bins
+            hist = histogram_density(A, width)
+            kde = kde_density(A)
+        except (DegenerateIQR, InvalidWidth, InvalidParams):
+            hypothesis.reject()  # fewer than 4 keys, all equal, or no usable width
+        for method, density in ((HISTOGRAM, hist), (KERNEL, kde)):
+            rho = estimate_rho(A, method=method)
+            assert rho.method == method
+            assert rho.value == pytest.approx(float(np.mean(density(A.keys))), rel=1e-12)
 
 
 _HEAVY_TAILS = {
