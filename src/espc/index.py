@@ -9,12 +9,13 @@ division, reads the stored estimate, and corrects it to the exact rank with
 an exponential search over the keys themselves, so ranks are exact whatever
 g is.  Build cost is O(K + min(n, K log n)); lookup cost is O(log error).
 
-A flat lookup is one frame, :func:`_flat`: it checks the index and q against
-the keys' cached record (``KeyArray._probe``), locates through :func:`_cell` and
-corrects through :func:`espc.search._gallop`.  The two-layer lookup checks once
-and gallops from the bucket :func:`_flat` finds on its top layer.  Both pass plain
-``(rank, comparisons)`` pairs, so each builds one :class:`~espc.search.SearchOutcome`.
-:func:`evaluate_rank_many` runs the flat lookup on many queries in lockstep.
+Every scalar lookup checks the index and q against the keys' cached record
+(``KeyArray._probe``), then runs :func:`_lookup` on the record the index derives from
+its fields: it locates the cell, reads the slot and corrects through
+:func:`espc.search._gallop`.
+The two-layer lookup runs it on its top layer and gallops from the bucket centre.
+Each builds one :class:`~espc.search.SearchOutcome`.  :func:`evaluate_rank_many`
+runs the flat lookup on many queries in lockstep.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +43,7 @@ SLOT_BYTES = 4
 HEADER_BYTES = len(MAGIC) + 2 * 8 + 3 * 8  # magic, n, K, x_first, x_last, delta
 MAGIC_SHIFTED = b"ESPC3"  # the same layout, with the shift s of g where ESPC2 has delta
 MAX_KEYS = 2**31 - 1  # the most keys n for which every slot, up to 2n, fits a uint32
+CELL_LIMIT = 2**26  # cells any key count may ask for: 768 MiB at a build's 12 bytes a cell
 SHIFT_FLOOR = 8192  # fewest keys for which build_espc considers cutting on a log scale
 _SHIFT_FRACTIONS = (1e-9, 1e-6, 1e-3)  # candidate shifts s = x_first - c * (x_last - x_first)
 _pack_f64 = struct.Struct("<d").pack
@@ -79,7 +82,8 @@ class EspcIndex:
     ``x - x_first`` when ``shift`` is None, and otherwise
     ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
     scale; either way ``delta = g(x_last)/K``.
-    Instances are immutable and safe for concurrent lookups.
+    Instances are immutable and safe for concurrent lookups.  They pickle and
+    deep-copy as their fields, and the copy derives its record again.
     """
 
     K: int
@@ -91,9 +95,18 @@ class EspcIndex:
     shift: float | None = None
 
     def __post_init__(self):
-        # β(x_first - shift), which every shifted lookup subtracts: derived, so not a field.
+        # The record _lookup reads, derived so not a field: (slots, K, x_first, delta, shift,
+        # base), slots[k] == t.item(k), base = β(x_first - shift), and a single point's delta
+        # read as inf.  Set here, not by a cached_property, whose write to __dict__ would
+        # make every attribute read of the index about three times slower.
         base = None if self.shift is None else _bits(self.x_first - self.shift)
-        object.__setattr__(self, "_base", base)
+        slots = memoryview(self.t).toreadonly()
+        record = slots, self.K, self.x_first, self.delta or math.inf, self.shift, base
+        object.__setattr__(self, "_record", record)
+
+    def __reduce__(self):
+        return EspcIndex, (self.K, self.delta, self.x_first, self.x_last, self.n, self.t,
+                           self.shift)
 
     @property
     def r(self) -> np.ndarray:
@@ -135,6 +148,27 @@ def assign_intervals(values, lo: float, step: float, k: int, shift=None) -> np.n
     return cells
 
 
+def _lookup(record: tuple, keys, q, comparisons: int):
+    """:func:`espc.search._gallop` over the probe view ``keys`` from ceil(t/2), t the slot
+    of the cell of ``q``, a Python scalar in [x_first, x_last]; given no ``keys``, the cell.
+
+    The cell is :func:`assign_intervals`' rule, with g's float rounded as numpy rounds it.
+    """
+    slots, last, x_first, delta, shift, base = record
+    if shift is None:
+        k = math.ceil((q - x_first) / delta)
+    else:  # int / float divides float(int), correctly rounded as numpy's cast is
+        k = math.ceil((_unpack_i64(_pack_f64(q - shift))[0] - base) / delta)
+    if k < 1:
+        k = 1
+    elif k > last:
+        k = last
+    if keys is None:
+        return k
+    t = slots[k - 1]
+    return _gallop(keys, t - (t >> 1), q, comparisons)  # ceil(t/2), faster than (t + 1) >> 1
+
+
 def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int, shift=None) -> np.ndarray:
     """Position of the first of the sorted ``keys`` in or past each of cells 2, ..., k.
 
@@ -160,11 +194,12 @@ def _cell_counts(
 
     Each key is in the cell :func:`assign_intervals` gives it; cell starts are bisected
     for (:func:`_cell_starts`) where that is cheaper than one pass over every key.
-    [lo, lo] is one cell of length 0.  Raises InvalidK as :func:`build_espc` does.
+    [lo, lo] is one cell of length 0.  Raises InvalidK as :func:`build_espc` does, so
+    for more than max(:data:`CELL_LIMIT`, n) cells before allocating any.
     """
-    if not 1 <= k < 2**63:  # interval numbers are int64
-        raise InvalidK(f"interval count must be in [1, 2^63), got {k}")
     n = len(keys)
+    if not 1 <= k <= max(CELL_LIMIT, n):  # K = n always fits: 12 bytes a cell beside 8 a key
+        raise InvalidK(f"interval count must be in [1, {max(CELL_LIMIT, n)}], got {k}")
     if lo == hi:
         return np.array([n]), 0.0
     step = _span(lo, hi, shift) / k
@@ -224,8 +259,8 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
 
     Raises:
         InvalidParams: more than :data:`MAX_KEYS` keys.
-        InvalidK: k outside [1, 2^63), (x_last - x_first)/k is not a positive
-            finite float, or k slots cannot be allocated.
+        InvalidK: k outside [1, max(CELL_LIMIT, n)], (x_last - x_first)/k is not
+            a positive finite float, or k slots cannot be allocated.
     """
     if A.n > MAX_KEYS:
         raise InvalidParams(f"an index holds at most {MAX_KEYS} keys, got {A.n}")
@@ -251,22 +286,7 @@ def locate_interval(idx: EspcIndex, q) -> int:
     qf = float(q)
     if not idx.x_first <= qf <= idx.x_last:  # NaN fails this too
         raise OutOfRange(f"{q!r} outside [{idx.x_first}, {idx.x_last}]")
-    return _cell(idx, qf)
-
-
-def _cell(idx: EspcIndex, qf: float) -> int:
-    """:func:`locate_interval` of a float ``qf`` already checked to be in [x_first, x_last]."""
-    if idx.delta == 0.0:
-        return 1
-    if idx.shift is None:
-        k = math.ceil((qf - idx.x_first) / idx.delta)
-    else:  # int / float divides float(int), correctly rounded as numpy's cast is
-        k = math.ceil((_unpack_i64(_pack_f64(qf - idx.shift))[0] - idx._base) / idx.delta)
-    if k < 1:
-        return 1
-    if k > idx.K:
-        return idx.K
-    return k
+    return _lookup(idx._record, None, qf, 0)
 
 
 def predict(idx: EspcIndex, q) -> float:
@@ -280,7 +300,7 @@ def predict(idx: EspcIndex, q) -> float:
         return 0.0
     if qf > idx.x_last:
         return float(idx.n)
-    return idx.t.item(locate_interval(idx, qf) - 1) / 2
+    return idx._record[0][locate_interval(idx, qf) - 1] / 2
 
 
 def predict_many(idx: EspcIndex, values) -> np.ndarray:
@@ -321,7 +341,7 @@ def _slots(idx: EspcIndex, v: np.ndarray, lo, hi) -> np.ndarray:
         y /= idx.delta
     else:
         y = np.asarray(v - idx.shift)
-        np.divide(y.view(np.int64) - idx._base, idx.delta, out=y)
+        np.divide(y.view(np.int64) - idx._record[5], idx.delta, out=y)  # β(x_first - shift)
     y -= 1.0
     np.ceil(y, out=y)
     return idx.t.take(y.astype(np.intp), mode="clip")
@@ -339,24 +359,18 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
         OutOfRange: q is NaN.
         StartOutOfRange: a slot outside [0, n], which only a hand-built index holds.
     """
-    return tuple.__new__(SearchOutcome, _flat(idx, A, q))
-
-
-def _flat(idx: EspcIndex, A: KeyArray, q) -> tuple[int, int]:
-    """:func:`evaluate_rank` as a plain ``(rank, comparisons)`` pair, in one frame."""
-    if isinstance(q, np.floating):
+    if type(q) is not float and isinstance(q, np.floating):  # np.float64 subclasses float
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     keys, n, lo, hi, lo_f, hi_f = A._probe
     if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
         raise _mismatch(idx.n, A)
     if not lo <= q <= hi:
         if q < lo:
-            return 0, 1
+            return tuple.__new__(SearchOutcome, (0, 1))
         if q > hi:
-            return n, 2
+            return tuple.__new__(SearchOutcome, (n, 2))
         raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
-    t = idx.t.item(_cell(idx, float(q)) - 1)
-    return _gallop(keys, t - (t >> 1), q, 2)  # ceil(t/2): faster in CPython than (t + 1) >> 1
+    return tuple.__new__(SearchOutcome, _lookup(idx._record, keys, q, 2))
 
 
 def _mismatch(built_n: int, A: KeyArray) -> IndexMismatch:
@@ -403,7 +417,7 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     ranks = np.where(over, n, 0)
     comparisons = np.where(under, 1, 2)
     inside = np.flatnonzero(~(under | over))
-    if inside.size:  # locate with the query's own value and start at ceil(t/2), as _flat does
+    if inside.size:  # locate with the query's own value and start at ceil(t/2), as _lookup does
         v = raw[inside].astype(np.float64, copy=False)
         t = _slots(idx, v, np.minimum.reduce(v), np.maximum.reduce(v))
         found, cost = exponential_search_many(A, t - (t >> 1), q[inside])
@@ -461,7 +475,8 @@ class HierIndex:
     equal-split index over the bucket boundaries and resolves which bucket
     a query falls in.  Bucket rank estimates are implicit (bucket k is
     centred at (k - 1/2) * n / K), so only the boundaries and the top
-    index occupy space.
+    index occupy space.  Instances pickle and deep-copy as their fields,
+    without the cached record.
     """
 
     boundaries: KeyArray
@@ -471,6 +486,19 @@ class HierIndex:
     @property
     def K(self) -> int:
         return self.boundaries.n
+
+    @cached_property
+    def _record(self) -> tuple:
+        """``(view, top, last, K, n, x_first)`` of the boundaries, the top layer and the keys,
+        made once the top layer is checked to fit the boundaries (a failure is not kept)."""
+        view, k, _, last, first_f, last_f = self.boundaries._probe
+        top = self.top
+        if top.n != k or top.x_first != first_f or top.x_last != last_f:
+            raise _mismatch(top.n, self.boundaries)
+        return view, top._record, last, k, self.n, first_f
+
+    def __reduce__(self):
+        return HierIndex, (self.boundaries, self.top, self.n)
 
 
 def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
@@ -505,21 +533,22 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
             key, or its top layer over other boundaries.
         OutOfRange: q is NaN.
     """
-    if isinstance(q, np.floating):
+    if type(q) is not float and isinstance(q, np.floating):  # np.float64 subclasses float
         q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
+    view, top, last, k, built_n, first_f = h._record
     keys, n, lo, hi, lo_f, _ = A._probe
-    if h.n != n or h.top.x_first != lo_f:
-        raise _mismatch(h.n, A)
+    if built_n != n or first_f != lo_f:
+        raise _mismatch(built_n, A)
     if not lo <= q <= hi:
         if q < lo:
             return tuple.__new__(SearchOutcome, (0, 1))
         if q > hi:
             return tuple.__new__(SearchOutcome, (n, 2))
         raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
-    # bucket >= 1 because boundaries[0] == x_min <= q.
-    bucket, comparisons = _flat(h.top, h.boundaries, q)  # which checks top.n == K
-    start = min(math.ceil((bucket - 0.5) * n / h.top.n), n)
-    return tuple.__new__(SearchOutcome, _gallop(keys, start, q, 2 + comparisons))
+    # The top layer counts its own two range checks; q >= boundaries[0] == x_min.
+    bucket, comparisons = (k, 4) if q > last else _lookup(top, view, q, 4)
+    start = math.ceil((bucket - 0.5) * n / k)  # at most n, as bucket <= K
+    return tuple.__new__(SearchOutcome, _gallop(keys, start, q, comparisons))
 
 
 # --- serialization ----------------------------------------------------------
@@ -575,7 +604,8 @@ def deserialize_index(blob: bytes) -> EspcIndex:
         delta = _span(x_first, x_last, shift) / k  # g(x_last) >= 1, so 0 < delta < inf
     elif not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
         raise InvalidIndexFile(f"interval length {delta} does not split the range into K={k}")
-    t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).copy()
+    # In native byte order, which the lookup's memoryview of the slots can index.
+    t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).astype(np.uint32)
     c = t.astype(np.int64)  # c_k = t_k - t_{k-1} + t_{k-2} - ...: one signed cumulative sum
     c[1::2] *= -1
     np.cumsum(c, out=c)

@@ -223,8 +223,9 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     making the total mass 1.
 
     Raises:
-        InvalidWidth: width <= 0 or not finite, or so small that the bins number
-            2^63 or more, cannot be allocated, or overflow the heights.
+        InvalidWidth: width <= 0 or not finite, or so small that the bins are more
+            than :func:`espc.index.build_espc` admits as cells, cannot be allocated,
+            or overflow the heights.
     """
     if not (width > 0.0 and math.isfinite(width)):
         raise InvalidWidth(f"bin width must be positive and finite, got {width}")

@@ -23,6 +23,7 @@ from espc.errors import (
 from espc.bench import BenchConfig, prepare_keys
 from espc.data import DatasetSpec
 from espc.index import (
+    CELL_LIMIT,
     HEADER_BYTES,
     MAX_KEYS,
     SHIFT_FLOOR,
@@ -45,7 +46,7 @@ from espc.index import (
     save_index,
     serialize_index,
 )
-from espc.index import _bits, _cell, _choose_shift, _span
+from espc.index import _bits, _choose_shift, _span
 from espc.search import binary_search_rank, exponential_search
 
 
@@ -99,6 +100,23 @@ class TestBuild:
             for k in (2**63, 10**30):
                 with pytest.raises(InvalidK):
                     build_espc(_four_keys(), k)
+
+    def test_cell_limit_refuses_before_allocating(self):
+        # Sizes refused at once: a K past the limit would otherwise allocate 12 bytes a cell.
+        tracemalloc.start()
+        try:
+            for keys in (_four_keys(), validate_key_array(np.arange(2_000.0), FLOAT_MODE)):
+                with pytest.raises(InvalidK, match=str(CELL_LIMIT)):
+                    build_espc(keys, CELL_LIMIT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # K = n is admitted past the limit; broadcast views of one key allocate nothing.
+        many = KeyArray(keys=np.broadcast_to(0.5, CELL_LIMIT + 2), mode=FLOAT_MODE)
+        assert build_espc(many, CELL_LIMIT + 2).K == 1
+        with pytest.raises(InvalidK):
+            build_espc(many, CELL_LIMIT + 3)
 
     def test_estimates_reconstruct_from_counts(self):
         rng = np.random.default_rng(21)
@@ -298,20 +316,29 @@ class TestEvaluateRank:
             assert abs(rank_bruteforce(A, q) - predict(idx, q)) == err
 
     def test_keys_pickle_and_deepcopy_after_a_lookup(self):
-        for keys, mode in (([0.5, 1.5, 2.5, 2.5], FLOAT_MODE), ([3, 2**63, 2**64 - 1], INT_MODE)):
+        # The records hold memoryviews, which neither pickle nor deep-copy: keys and
+        # indexes pickle as their fields, and a copy makes its records again.
+        for keys, mode in (([0.5, 1.5, 2.5, 2.5], FLOAT_MODE), ([3, 2**63, 2**64 - 1], INT_MODE),
+                           (_lognormal_keys(SHIFT_FLOOR).keys, FLOAT_MODE)):  # a log scale
             A = validate_key_array(keys, mode)
             idx, h = build_espc(A, 2), build_equal_probability(A, 2, 2)
-            want = evaluate_rank(idx, A, 2**63)  # caches the probe record
-            want_hier = evaluate_rank_hier(h, A, 2**63)  # and the boundaries' record
+            qs = (2**63, A.keys.item(A.n // 2))
+            want = [evaluate_rank(idx, A, q) for q in qs]  # caches the probe record
+            want_hier = [evaluate_rank_hier(h, A, q) for q in qs]  # and the boundaries' record
+            for obj in (A, idx, h):
+                assert "_record" in vars(obj) or "_probe" in vars(obj)
+                assert not any(isinstance(arg, memoryview) for arg in obj.__reduce__()[1])
             for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
                 assert B.mode == mode and np.array_equal(B.keys, A.keys)
                 assert B.keys.dtype == A.keys.dtype and not B.keys.flags.writeable
-                assert evaluate_rank(idx, B, 2**63) == want
+                assert [evaluate_rank(idx, B, q) for q in qs] == want
             for copied in (pickle.loads(pickle.dumps(idx)), copy.deepcopy(idx)):
-                assert evaluate_rank(copied, A, 2**63) == want
+                assert copied._record[0].obj is copied.t and copied.shift == idx.shift
+                assert [evaluate_rank(copied, A, q) for q in qs] == want
             for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+                assert "_record" not in vars(copied)
                 assert not copied.boundaries.keys.flags.writeable
-                assert evaluate_rank_hier(copied, A, 2**63) == want_hier
+                assert [evaluate_rank_hier(copied, A, q) for q in qs] == want_hier
                 assert evaluate_rank(copied.top, copied.boundaries, 2**63) == evaluate_rank(
                     h.top, h.boundaries, 2**63)
 
@@ -476,8 +503,10 @@ class TestHierarchical:
             evaluate_rank_hier(h, C, 5.0)
         other = build_equal_probability(validate_key_array(np.arange(20.0), FLOAT_MODE), 2, 1)
         for top in (other.top, build_espc(B, 1)):  # other last boundary, other bucket count
-            with pytest.raises(IndexMismatch):
-                evaluate_rank_hier(HierIndex(boundaries=h.boundaries, top=top, n=h.n), A, 5.0)
+            bad = HierIndex(boundaries=h.boundaries, top=top, n=h.n)
+            for q in (5.0, 5.0, 100.0):  # a failed check is not cached: every lookup raises
+                with pytest.raises(IndexMismatch):
+                    evaluate_rank_hier(bad, A, q)
 
 
 class TestSerialization:
@@ -616,9 +645,9 @@ class TestLogScaleCells:
             hi = float(values.max())
             k = 2**50
             idx = EspcIndex(K=k, delta=_span(lo, hi, shift) / k, x_first=lo, x_last=hi, n=1,
-                            t=np.zeros(1, np.uint32), shift=shift)  # _cell reads no slot
+                            t=np.zeros(1, np.uint32), shift=shift)  # locating reads no slot
             cells = assign_intervals(values, lo, idx.delta, k, shift)
-            assert cells.tolist() == [_cell(idx, v) for v in values.tolist()]
+            assert cells.tolist() == [locate_interval(idx, v) for v in values.tolist()]
 
     @pytest.mark.parametrize("lo, hi, shift", [
         (0.0, 1e-300, -1e-320),  # g starts among the subnormals
@@ -642,7 +671,7 @@ class TestLogScaleCells:
         assert many.tobytes() == np.array([predict(idx, float(q)) for q in qs]).tobytes()
         inside = qs[(qs >= lo) & (qs <= hi)]
         cells = assign_intervals(inside, lo, idx.delta, k, shift)
-        assert cells.tolist() == [_cell(idx, float(q)) for q in inside]
+        assert cells.tolist() == [locate_interval(idx, float(q)) for q in inside]
         assert len(set(cells.tolist())) > k // 10  # the queries reach many cells
 
     def test_batched_predict_raises_no_warning(self):

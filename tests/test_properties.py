@@ -184,22 +184,33 @@ def _inside(A, queries):
     return [q for q in queries if lo <= (float(q) if isinstance(q, np.floating) else q) <= hi]
 
 
-@given(arrays_and_queries(), st.integers(1, 80), st.integers(1, 20))
-def test_lookups_count_what_the_scalar_search_counts(data, k, k_top):
-    # Inside the keys, a lookup costs its two endpoint checks, the top lookup's
-    # comparisons if it has a top layer, and exponential_search from its start.
-    A, queries = data
-    idx = _buildable(build_espc, A, k)
-    h = _buildable(build_equal_probability, A, min(k, A.n), k_top)
+def _composition_holds(A, idx, h, queries):
+    """Inside the keys, each lookup is the public functions it is made of, counts summed.
+
+    Flat: its two endpoint checks and exponential_search from ceil(predict), where
+    predict is the batched estimate.  Two-layer: its two endpoint checks, the flat
+    lookup on the top layer over the boundaries, and exponential_search from the
+    bucket centre.  Either index may be None (not buildable).
+    """
     for q in _inside(A, queries):
         if idx is not None:
-            rank, cost = exponential_search(A, math.ceil(predict(idx, q)), q)
+            estimate = predict(idx, q)
+            assert estimate == predict_many(idx, [float(q)])[0]
+            rank, cost = exponential_search(A, math.ceil(estimate), q)
             assert evaluate_rank(idx, A, q) == (rank, 2 + cost)
         if h is not None:
             bucket, top_cost = evaluate_rank(h.top, h.boundaries, q)
             centre = min(math.ceil((bucket - 0.5) * A.n / h.K), A.n)
             rank, cost = exponential_search(A, centre, q)
             assert evaluate_rank_hier(h, A, q) == (rank, top_cost + 2 + cost)
+
+
+@given(arrays_and_queries(), st.integers(1, 80), st.integers(1, 20))
+def test_lookups_count_what_the_scalar_search_counts(data, k, k_top):
+    A, queries = data
+    idx = _buildable(build_espc, A, k)
+    h = _buildable(build_equal_probability, A, min(k, A.n), k_top)
+    _composition_holds(A, idx, h, queries)
 
 
 @given(arrays_and_queries())
@@ -494,6 +505,9 @@ def heavy_tailed_keys(draw, floor=SHIFT_FLOOR, top=3 * SHIFT_FLOOR):
     return validate_key_array(draws + draw(st.sampled_from([0.0, -7.5, 1e6])), FLOAT_MODE)
 
 
+_LOGNORMAL_KEYS = validate_key_array(np.random.default_rng(11).lognormal(0.0, 2.0, SHIFT_FLOOR))
+
+
 def _heavy_queries(A, rng):
     """Keys, their neighbours, values between keys and values outside, as two numpy arrays."""
     keys = A.keys[rng.integers(0, A.n, 24)]
@@ -529,6 +543,21 @@ def test_log_scale_cells_keep_every_lookup_exact(A, per_key, seed):
         values = qs.astype(np.float64)
         assert predict_many(idx, values).tobytes() == np.array(
             [predict(idx, q) for q in values.tolist()]).tobytes()
+
+
+@hypothesis.settings(max_examples=25)
+@given(heavy_tailed_keys(), st.booleans(), st.sampled_from([0.1, 1.0, 2.0]), st.integers(1, 64),
+       st.integers(0, 2**32))
+@example(_LOGNORMAL_KEYS, True, 1.0, 64, 0)  # cut on a log scale, with ties
+def test_lookups_count_the_scalar_search_on_heavy_tails(A, ties, per_key, k_top, seed):
+    if ties:  # every third key twice
+        A = validate_key_array(np.concatenate([A.keys, A.keys[::3]]), A.mode)
+    idx = build_espc(A, max(1, int(A.n * per_key)))
+    hypothesis.event(f"log scale: {idx.shift is not None}")
+    h = build_equal_probability(A, max(1, A.n // 8), k_top)
+    queries = [q for qs in _heavy_queries(A, np.random.default_rng(seed)) if qs is not None
+               for q in qs.tolist()]
+    _composition_holds(A, idx, h, queries + A.keys[::97].tolist())
 
 
 @hypothesis.settings(max_examples=25)

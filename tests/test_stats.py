@@ -1,6 +1,7 @@
 """Partition profiles, entropy, error bounds, densities, and the rho estimator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from espc.errors import (
     OutOfRange,
     SupportViolation,
 )
+from espc.index import CELL_LIMIT
 from espc.stats import (
     HISTOGRAM,
     KERNEL,
@@ -221,6 +223,23 @@ class TestHistogramDensity:
     def test_too_many_bins_raise(self, keys, width):
         with pytest.raises(InvalidWidth):
             histogram_density(validate_key_array(keys, FLOAT_MODE), width)
+
+    def test_bins_past_the_cell_limit_raise_before_allocating(self):
+        # The Freedman-Diaconis width of these keys asks for 1 285 640 796 bins, about
+        # 10 GB of counts: refused as index cells past CELL_LIMIT are, at once.
+        A = validate_key_array([0.0] * 8 + [1e-9] * 8 + [1.0], FLOAT_MODE)
+        width = fd_bin_width(A)
+        assert math.ceil(1.0 / width) == 1_285_640_796
+        tracemalloc.start()
+        try:
+            for fit in (lambda: histogram_density(A, width),
+                        lambda: estimate_rho(A, method=HISTOGRAM)):
+                with pytest.raises(InvalidWidth, match=str(CELL_LIMIT)):
+                    fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_overflowing_heights_raise(self):
         # One key in a bin 5e-324 wide would have height 1/5e-324 = inf.
