@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,17 +35,20 @@ class KeyArray:
     doubles, the natural domain for synthetic data and rescaled keys).
     Duplicates are allowed and preserved.  Instances are safe to share
     across threads; the backing array is marked read-only.  Instances pickle
-    and deep-copy as ``validate_key_array(keys, mode)``, without the cached record.
+    and deep-copy as ``validate_key_array(keys, mode)``, without their record.
+    Empty ``keys`` raise EmptyInput.
     """
 
     keys: np.ndarray
     mode: str
 
-    @cached_property
-    def _probe(self) -> tuple:
-        """``(view, n, first, last, float(first), float(last))``; ``view[i] == keys.item(i)``."""
+    def __post_init__(self):
+        # The record lookups read, derived so not a field: (view, n, first, last,
+        # float(first), float(last)), view[i] == keys.item(i).
         v = memoryview(self.keys).toreadonly()
-        return v, len(v), v[0], v[-1], float(v[0]), float(v[-1])
+        if not len(v):
+            raise EmptyInput("key array must contain at least one key")
+        object.__setattr__(self, "_probe", (v, len(v), v[0], v[-1], float(v[0]), float(v[-1])))
 
     def __reduce__(self):
         return validate_key_array, (self.keys, self.mode)

@@ -22,7 +22,7 @@ class InvalidK(EspcError, ValueError):
 
 
 class OutOfRange(EspcError, ValueError):
-    """Query lies outside the key range covered by the index."""
+    """Query lies outside the key range covered by the index, or is NaN."""
 
 
 class IndexMismatch(EspcError, ValueError):
@@ -30,7 +30,7 @@ class IndexMismatch(EspcError, ValueError):
 
 
 class InvalidPolicyParams(EspcError, ValueError):
-    """Sizing-policy parameters are missing, non-positive, or unknown."""
+    """Sizing policy is of an unknown kind, or is asked to size fewer than 2 keys."""
 
 
 class SupportViolation(EspcError, ValueError):

@@ -9,10 +9,10 @@ division, reads the stored estimate, and corrects it to the exact rank with
 an exponential search over the keys themselves, so ranks are exact whatever
 g is.  Build cost is O(K + min(n, K log n)); lookup cost is O(log error).
 
-Every scalar lookup checks the index and q against the keys' cached record
+Every scalar lookup checks the index and q against the keys' record
 (``KeyArray._probe``), then runs :func:`_lookup` on the record the index derives from
 its fields: it locates the cell, reads the slot and corrects through
-:func:`espc.search._gallop`.
+:func:`espc.search._gallop`.  Each structure makes its record when it is made.
 The two-layer lookup runs it on its top layer and gallops from the bucket centre.
 Each builds one :class:`~espc.search.SearchOutcome`.  :func:`evaluate_rank_many`
 runs the flat lookup on many queries in lockstep.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -81,13 +80,12 @@ class EspcIndex:
     A value x lies in interval ``clip(ceil(g(x)/delta), 1, K)``, where g is
     ``x - x_first`` when ``shift`` is None, and otherwise
     ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
-    scale; either way ``delta = g(x_last)/K``.
-    Instances are immutable and safe for concurrent lookups.  They pickle and
-    deep-copy as their fields, and the copy derives its record again.
+    scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields;
+    an empty ``t`` raises InvalidK.  Instances are immutable and safe for concurrent
+    lookups.  They pickle and deep-copy as their fields, and the copy derives its
+    record again.
     """
 
-    K: int
-    delta: float
     x_first: float
     x_last: float
     n: int
@@ -95,18 +93,23 @@ class EspcIndex:
     shift: float | None = None
 
     def __post_init__(self):
-        # The record _lookup reads, derived so not a field: (slots, K, x_first, delta, shift,
-        # base), slots[k] == t.item(k), base = β(x_first - shift), and a single point's delta
-        # read as inf.  Set here, not by a cached_property, whose write to __dict__ would
-        # make every attribute read of the index about three times slower.
+        # Derived so not fields: K, delta, and the record _lookup reads, (slots, K, x_first,
+        # delta, shift, base), slots[k] == t.item(k), base = β(x_first - shift), and a single
+        # point's delta read as inf.  Set here, not by a cached_property, whose write to
+        # __dict__ would make every attribute read of the index about three times slower.
+        k = len(self.t)
+        if not k:
+            raise InvalidK("an index needs at least one interval")
+        delta = _span(self.x_first, self.x_last, self.shift) / k  # as _cell_counts divides
         base = None if self.shift is None else _bits(self.x_first - self.shift)
         slots = memoryview(self.t).toreadonly()
-        record = slots, self.K, self.x_first, self.delta or math.inf, self.shift, base
-        object.__setattr__(self, "_record", record)
+        object.__setattr__(self, "K", k)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "_record", (slots, k, self.x_first, delta or math.inf,
+                                             self.shift, base))
 
     def __reduce__(self):
-        return EspcIndex, (self.K, self.delta, self.x_first, self.x_last, self.n, self.t,
-                           self.shift)
+        return EspcIndex, (self.x_first, self.x_last, self.n, self.t, self.shift)
 
     @property
     def r(self) -> np.ndarray:
@@ -189,8 +192,8 @@ def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int, shift=None) -
 
 def _cell_counts(
     keys: np.ndarray, lo: float, hi: float, k: int, shift: float | None = None
-) -> tuple[np.ndarray, float]:
-    """Counts of the sorted ``keys`` in ``k`` cells of [lo, hi] equal in g, and their length in g.
+) -> np.ndarray:
+    """Counts of the sorted ``keys`` in ``k`` cells of [lo, hi] equal in g.
 
     Each key is in the cell :func:`assign_intervals` gives it; cell starts are bisected
     for (:func:`_cell_starts`) where that is cheaper than one pass over every key.
@@ -201,7 +204,7 @@ def _cell_counts(
     if not 1 <= k <= max(CELL_LIMIT, n):  # K = n always fits: 12 bytes a cell beside 8 a key
         raise InvalidK(f"interval count must be in [1, {max(CELL_LIMIT, n)}], got {k}")
     if lo == hi:
-        return np.array([n]), 0.0
+        return np.array([n])
     step = _span(lo, hi, shift) / k
     if not 0.0 < step < math.inf:
         raise InvalidK(f"{k} intervals over [{lo}, {hi}] have length {step}")
@@ -210,8 +213,8 @@ def _cell_counts(
         # about what a key costs in the full pass (numpy 2, 2 vCPUs): bisect where that
         # comes to at most half the pass, so small arrays keep the pass.
         if 2 * n.bit_length() * (k + 1024) < n:
-            return np.diff(_cell_starts(keys, lo, step, k, shift), prepend=0, append=n), step
-        return np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:], step
+            return np.diff(_cell_starts(keys, lo, step, k, shift), prepend=0, append=n)
+        return np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:]
     except (MemoryError, ValueError, OverflowError) as exc:  # too many cells to allocate
         raise InvalidK(f"cannot allocate {k} interval slots") from exc
 
@@ -234,7 +237,7 @@ def _choose_shift(keys: np.ndarray, lo: float, hi: float) -> float | None:
         return None
 
     def collisions(shift):
-        counts = _cell_counts(sample, lo, hi, m, shift)[0]
+        counts = _cell_counts(sample, lo, hi, m, shift)
         return int(np.dot(counts, counts - 1))
 
     shifts = (lo - c * (hi - lo) for c in _SHIFT_FRACTIONS)
@@ -266,15 +269,13 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
         raise InvalidParams(f"an index holds at most {MAX_KEYS} keys, got {A.n}")
     x_first, x_last = float(A.keys[0]), float(A.keys[-1])
     shift = _choose_shift(A.keys, x_first, x_last)
-    counts, delta = _cell_counts(A.keys, x_first, x_last, k, shift)
+    counts = _cell_counts(A.keys, x_first, x_last, k, shift)
     c = np.add.accumulate(counts, out=counts)  # np.cumsum without its dispatch cost
     t = np.empty(len(c), dtype=np.uint32)
     t[0] = c[0]
     np.add(c[:-1], c[1:], out=t[1:], casting="unsafe")  # at most 2n, which fits
     t.setflags(write=False)
-    return EspcIndex(
-        K=len(t), delta=delta, x_first=x_first, x_last=x_last, n=A.n, t=t, shift=shift
-    )
+    return EspcIndex(x_first=x_first, x_last=x_last, n=A.n, t=t, shift=shift)
 
 
 def locate_interval(idx: EspcIndex, q) -> int:
@@ -476,7 +477,7 @@ class HierIndex:
     a query falls in.  Bucket rank estimates are implicit (bucket k is
     centred at (k - 1/2) * n / K), so only the boundaries and the top
     index occupy space.  Instances pickle and deep-copy as their fields,
-    without the cached record.
+    without their record.  A ``top`` not built over ``boundaries`` raises IndexMismatch.
     """
 
     boundaries: KeyArray
@@ -487,15 +488,14 @@ class HierIndex:
     def K(self) -> int:
         return self.boundaries.n
 
-    @cached_property
-    def _record(self) -> tuple:
-        """``(view, top, last, K, n, x_first)`` of the boundaries, the top layer and the keys,
-        made once the top layer is checked to fit the boundaries (a failure is not kept)."""
+    def __post_init__(self):
+        # The record evaluate_rank_hier reads, derived so not a field: (view, top, last, K,
+        # n, x_first) of the boundaries, the top layer's record and the keys.
         view, k, _, last, first_f, last_f = self.boundaries._probe
         top = self.top
         if top.n != k or top.x_first != first_f or top.x_last != last_f:
             raise _mismatch(top.n, self.boundaries)
-        return view, top._record, last, k, self.n, first_f
+        object.__setattr__(self, "_record", (view, top._record, last, k, self.n, first_f))
 
     def __reduce__(self):
         return HierIndex, (self.boundaries, self.top, self.n)
@@ -596,12 +596,11 @@ def deserialize_index(blob: bytes) -> EspcIndex:
     if not (k >= 1 and 1 <= n <= MAX_KEYS and -math.inf < x_first <= x_last < math.inf):
         raise InvalidIndexFile(f"bad header: n={n}, K={k}, range [{x_first}, {x_last}]")
     shift = None
-    if magic == MAGIC_SHIFTED:
+    if magic == MAGIC_SHIFTED:  # EspcIndex derives delta = g(x_last)/K, in (0, inf) here
         shift = delta
         if not _shift_ok(x_first, x_last, shift):
             raise InvalidIndexFile(f"shift {shift} is not finite, below x_first={x_first} "
                                    f"and within float64 of x_last={x_last}")
-        delta = _span(x_first, x_last, shift) / k  # g(x_last) >= 1, so 0 < delta < inf
     elif not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
         raise InvalidIndexFile(f"interval length {delta} does not split the range into K={k}")
     # In native byte order, which the lookup's memoryview of the slots can index.
@@ -613,9 +612,7 @@ def deserialize_index(blob: bytes) -> EspcIndex:
     if not (c[-1] == n and np.all(c[:-1] <= c[1:])):  # c_1 = t_1 >= 0 = c_0
         raise InvalidIndexFile(f"slots do not count a partition of n={n} keys into K={k} cells")
     t.setflags(write=False)
-    return EspcIndex(
-        K=int(k), delta=delta, x_first=x_first, x_last=x_last, n=int(n), t=t, shift=shift
-    )
+    return EspcIndex(x_first=x_first, x_last=x_last, n=int(n), t=t, shift=shift)
 
 
 def save_index(idx: EspcIndex, path) -> None:

@@ -69,7 +69,7 @@ def partition_probabilities(A: KeyArray, a: float, b: float, k: int) -> Partitio
             f"support [{a}, {b}] does not cover keys "
             f"[{float(A.keys[0])}, {float(A.keys[-1])}]"
         )
-    p = _cell_counts(A.keys, a, b, k)[0] / A.n
+    p = _cell_counts(A.keys, a, b, k) / A.n
     p.setflags(write=False)
     return PartitionProfile(p=p)
 
@@ -238,10 +238,10 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
     # keys' resolution; widen b so every key falls in a bin of positive width.
     b = max(lo + width * nbins, hi, math.nextafter(lo, math.inf))
     try:
-        counts, step = _cell_counts(A.keys, lo, b, nbins)
+        counts = _cell_counts(A.keys, lo, b, nbins)
     except InvalidK as exc:
         raise InvalidWidth(f"bin width {width} over [{lo}, {hi}]: {exc}") from exc
-    norm = A.n * step
+    norm = A.n * ((b - lo) / nbins)
     if not math.isfinite(int(counts.max()) / norm):
         raise InvalidWidth(f"bins {width} wide make the heights overflow")
     heights = counts / norm
@@ -283,7 +283,7 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     gap = float(np.min(np.diff(grid_x)))
     if not gap > 0.0:  # grid steps under the floats' spacing
         raise InvalidParams(no_grid)
-    counts, _ = _cell_counts(A.keys, lo, hi, _KDE_GRID_SIZE)
+    counts = _cell_counts(A.keys, lo, hi, _KDE_GRID_SIZE)
     step = grid_x[1] - grid_x[0]
     mass = counts / n
     half = min(int(math.ceil(pad / step)), (_KDE_GRID_SIZE - 1) // 2)

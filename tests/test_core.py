@@ -8,6 +8,7 @@ import pytest
 from espc.core import (
     FLOAT_MODE,
     INT_MODE,
+    KeyArray,
     exact_ranks,
     int_key_queries,
     rank_bruteforce,
@@ -48,6 +49,8 @@ class TestValidateKeyArray:
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             validate_key_array([], FLOAT_MODE)
+        with pytest.raises(EmptyInput):  # made directly, the record needs a first key
+            KeyArray(keys=np.empty(0), mode=FLOAT_MODE)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(EspcError):

@@ -19,3 +19,13 @@ def test_imports_only_stdlib_numpy_and_espc():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:  # level > 0: within espc
                 roots.add(node.module.split(".")[0])
         assert roots <= ALLOWED, f"{path.name} imports {sorted(roots - ALLOWED)}"
+
+
+def test_no_cached_property():
+    # Each structure makes its record when it is made; a cached_property would write it
+    # into the instance on the first read, which slows every attribute read after it.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {getattr(node, field, None)  # names, attributes and imported names
+                for node in ast.walk(tree) for field in ("id", "attr", "name")}
+        assert "cached_property" not in used, f"{path.name} uses cached_property"

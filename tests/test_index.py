@@ -1,6 +1,7 @@
 """Construction, prediction, exact lookup, sizing, and serialization."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import struct
@@ -152,7 +153,7 @@ class TestBuild:
             build_espc(KeyArray(keys=np.broadcast_to(0.5, MAX_KEYS + 1), mode=FLOAT_MODE), 4)
         # Slots up to 2n = 2^32 - 2 read back exactly (built by hand: no keys exist).
         t = np.array([MAX_KEYS, 2 * MAX_KEYS], dtype=np.uint32)
-        big = EspcIndex(K=2, delta=1.0, x_first=0.0, x_last=2.0, n=MAX_KEYS, t=t)
+        big = EspcIndex(x_first=0.0, x_last=2.0, n=MAX_KEYS, t=t)
         expected = [MAX_KEYS / 2, MAX_KEYS]
         assert predict_many(big, [0.5, 1.5]).tolist() == [predict(big, 0.5), predict(big, 1.5)] == expected
 
@@ -263,9 +264,18 @@ class TestEvaluateRank:
     def test_slot_outside_the_ranks_raises_start_out_of_range(self, slot):
         # Loading refuses such a slot; built by hand, the lookup must still refuse
         # its start rather than read the keys from the end.
-        idx = EspcIndex(K=1, delta=3.0, x_first=0.0, x_last=3.0, n=4, t=np.array([slot]))
+        idx = EspcIndex(x_first=0.0, x_last=3.0, n=4, t=np.array([slot]))
         with pytest.raises(StartOutOfRange):
             evaluate_rank(idx, _four_keys(), 1.5)
+
+    def test_hand_built_index_derives_k_and_delta(self):
+        idx = EspcIndex(x_first=0.0, x_last=3.0, n=4, t=np.array([1, 3], dtype=np.uint32))
+        assert [f.name for f in dataclasses.fields(idx)] == ["x_first", "x_last", "n", "t", "shift"]
+        assert (idx.K, idx.delta) == (2, 1.5)
+        grid = np.linspace(-1.0, 4.0, 41)
+        assert predict_many(idx, grid).tolist() == [predict(idx, q) for q in grid.tolist()]
+        with pytest.raises(InvalidK):
+            EspcIndex(x_first=0.0, x_last=3.0, n=4, t=np.array([], dtype=np.uint32))
 
     def test_exactness_random_with_boundary_adversaries(self):
         rng = np.random.default_rng(25)
@@ -329,14 +339,16 @@ class TestEvaluateRank:
                 assert "_record" in vars(obj) or "_probe" in vars(obj)
                 assert not any(isinstance(arg, memoryview) for arg in obj.__reduce__()[1])
             for B in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A)):
-                assert B.mode == mode and np.array_equal(B.keys, A.keys)
+                assert B._probe[0].obj is B.keys and B.mode == mode
+                assert np.array_equal(B.keys, A.keys)
                 assert B.keys.dtype == A.keys.dtype and not B.keys.flags.writeable
                 assert [evaluate_rank(idx, B, q) for q in qs] == want
             for copied in (pickle.loads(pickle.dumps(idx)), copy.deepcopy(idx)):
                 assert copied._record[0].obj is copied.t and copied.shift == idx.shift
                 assert [evaluate_rank(copied, A, q) for q in qs] == want
             for copied in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
-                assert "_record" not in vars(copied)
+                view, top = copied._record[:2]
+                assert view.obj is copied.boundaries.keys and top[0].obj is copied.top.t
                 assert not copied.boundaries.keys.flags.writeable
                 assert [evaluate_rank_hier(copied, A, q) for q in qs] == want_hier
                 assert evaluate_rank(copied.top, copied.boundaries, 2**63) == evaluate_rank(
@@ -503,10 +515,8 @@ class TestHierarchical:
             evaluate_rank_hier(h, C, 5.0)
         other = build_equal_probability(validate_key_array(np.arange(20.0), FLOAT_MODE), 2, 1)
         for top in (other.top, build_espc(B, 1)):  # other last boundary, other bucket count
-            bad = HierIndex(boundaries=h.boundaries, top=top, n=h.n)
-            for q in (5.0, 5.0, 100.0):  # a failed check is not cached: every lookup raises
-                with pytest.raises(IndexMismatch):
-                    evaluate_rank_hier(bad, A, q)
+            with pytest.raises(IndexMismatch):  # refused when made, not on each lookup
+                HierIndex(boundaries=h.boundaries, top=top, n=h.n)
 
 
 class TestSerialization:
@@ -549,6 +559,23 @@ class TestSerialization:
         big = b"ESPC2" + struct.pack("<QQddd", 2**31, 1, 0.0, 0.0, 0.0) + struct.pack("<I", 2**31)
         with pytest.raises(InvalidIndexFile):  # n beyond MAX_KEYS
             deserialize_index(big)
+
+    @pytest.mark.parametrize("x_first, x_last, delta", [
+        (0.0, 2.0, 0.75),  # not the range split in two
+        (1.0, 1.0, 0.0),  # two cells over one point
+        (0.0, 5e-324, 0.0),  # the length underflows to 0
+        (-1e308, 1e308, math.inf),  # the length overflows
+    ])
+    def test_rejects_a_delta_that_does_not_split_the_range(self, x_first, x_last, delta):
+        slots = struct.pack("<2I", 1, 3)  # one key in each of K = 2 cells: n = 2
+        blob = b"ESPC2" + struct.pack("<QQddd", 2, 2, x_first, x_last, delta) + slots
+        with pytest.raises(InvalidIndexFile, match="interval length"):
+            deserialize_index(blob)
+
+    def test_loads_one_cell_over_one_point(self):
+        blob = b"ESPC2" + struct.pack("<QQddd", 1, 1, 1.0, 1.0, 0.0) + struct.pack("<I", 1)
+        idx = deserialize_index(blob)
+        assert (idx.K, idx.delta, idx.r.tolist()) == (1, 0.0, [0.5])
 
     def test_rejects_slot_out_of_range(self):
         blob = bytearray(serialize_index(build_espc(_four_keys(), 2)))
@@ -644,8 +671,9 @@ class TestLogScaleCells:
             # Cells of a few units of g: the scalar rule rounds g exactly as numpy does.
             hi = float(values.max())
             k = 2**50
-            idx = EspcIndex(K=k, delta=_span(lo, hi, shift) / k, x_first=lo, x_last=hi, n=1,
-                            t=np.zeros(1, np.uint32), shift=shift)  # locating reads no slot
+            idx = EspcIndex(x_first=lo, x_last=hi, n=1, shift=shift,  # locating reads no slot
+                            t=np.broadcast_to(np.uint32(0), k))  # k cells, not allocated
+            assert idx.delta == _span(lo, hi, shift) / k
             cells = assign_intervals(values, lo, idx.delta, k, shift)
             assert cells.tolist() == [locate_interval(idx, v) for v in values.tolist()]
 
@@ -657,8 +685,8 @@ class TestLogScaleCells:
     ])
     def test_scalar_and_batched_cells_agree(self, lo, hi, shift):
         k = 1000
-        idx = EspcIndex(K=k, delta=_span(lo, hi, shift) / k, x_first=lo, x_last=hi, n=k,
-                        t=np.arange(k, dtype=np.uint32) * 2 + 1, shift=shift)
+        idx = EspcIndex(x_first=lo, x_last=hi, n=k, t=np.arange(k, dtype=np.uint32) * 2 + 1,
+                        shift=shift)
         rng = np.random.default_rng(44)
         unit = rng.random(3000)
         qs = np.concatenate([

@@ -46,6 +46,7 @@ from espc.index import (
     SHIFT_FLOOR,
     _cell_counts,
     _cell_starts,
+    _span,
     assign_intervals,
     build_equal_probability,
     build_espc,
@@ -346,7 +347,7 @@ def test_slots_are_the_counts_before_plus_half(case):
         with pytest.raises(InvalidK):
             _cell_counts(A.keys, lo, hi, k)
         return
-    counts, _ = _cell_counts(A.keys, lo, hi, k)
+    counts = _cell_counts(A.keys, lo, hi, k, idx.shift)  # the index's g, not always x
     before = np.concatenate(([0.0], np.cumsum(counts.astype(np.float64))[:-1]))
     assert idx.K == len(idx.r) == (1 if lo == hi else k)
     assert idx.r.dtype == np.float64 and not idx.r.flags.writeable
@@ -439,8 +440,7 @@ def test_counts_agree_on_both_sides_of_the_bisection_switch(kind, monkeypatch):
         for top in (hi, hi + 0.37 * (hi - lo)):  # a histogram's last cell may pass x_max
             step = (top - lo) / k
             expected = np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:]
-            counts, cell = _cell_counts(keys, lo, top, k)
-            assert cell == step and counts.tobytes() == expected.tobytes()
+            assert _cell_counts(keys, lo, top, k).tobytes() == expected.tobytes()
     assert 1 in bisected and n not in bisected  # both sides of the switch ran
 
 
@@ -575,6 +575,7 @@ def test_log_scale_bisection_counts_equal_one_pass(A, k):
     lo, hi = float(A.keys[0]), float(A.keys[-1])
     shift = build_espc(A, 1).shift
     hypothesis.assume(shift is not None)
-    counts, step = _cell_counts(A.keys, lo, hi, k, shift)  # one pass below the switch
+    counts = _cell_counts(A.keys, lo, hi, k, shift)  # one pass below the switch
+    step = _span(lo, hi, shift) / k
     bisected = np.diff(_cell_starts(A.keys, lo, step, k, shift), prepend=0, append=A.n)
     assert np.array_equal(counts, bisected)
