@@ -20,7 +20,8 @@ import numpy as np
 from .core import FLOAT_MODE, KeyArray, exact_ranks, validate_key_array
 from .data import DatasetSpec, FILE, generate, rescale_unit, subsample
 from .errors import InvalidParams
-from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, build_espc, evaluate_rank_many, predict_many
+from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, evaluate_rank_many, predict_many
+from .index import _build, _choose_shift
 from .stats import HISTOGRAM, error_bound_query_dist, error_bound_rho, estimate_rho
 
 DEFAULT_K_GRID = (100, 1_000, 10_000, 100_000)
@@ -153,12 +154,15 @@ def run_error_experiment(cfg: BenchConfig) -> list[BenchRecord]:
 
     The bound column is the closed-form expected-error bound evaluated
     with the estimated density norm(s); ``--check`` style gating compares
-    it against the measured mean error via :func:`bound_violations`.
+    it against the measured mean error via :func:`bound_violations`.  Each
+    index is the one :func:`espc.index.build_espc` builds, with the scale of
+    its cells chosen once for the keys rather than once per K.
     """
     keys = prepare_keys(cfg)
     queries = draw_queries(cfg, keys)
     ranks = exact_ranks(keys, queries)
     lo, hi = float(keys.keys[0]), float(keys.keys[-1])
+    shift = _choose_shift(keys.keys, lo, hi)
     rho = estimate_rho(keys, method=cfg.rho_method).value
     bound = partial(error_bound_rho, rho=rho)
     if cfg.query_dist is not None:
@@ -171,7 +175,7 @@ def run_error_experiment(cfg: BenchConfig) -> list[BenchRecord]:
     records = []
     for k in cfg.k_grid:
         t0 = time.perf_counter()
-        idx = build_espc(keys, k)
+        idx = _build(keys, k, shift)
         build_ms = (time.perf_counter() - t0) * 1e3
         mean_error = measure_errors(idx, queries, ranks)
         counts, query_ns = measure_comparisons(idx, keys, queries, ranks)

@@ -18,8 +18,6 @@ INT_MODE = "int64"
 FLOAT_MODE = "float64"
 MODES = (INT_MODE, FLOAT_MODE)
 
-_DTYPES = {INT_MODE: np.uint64, FLOAT_MODE: np.float64}
-
 _UINT64_MAX = 2**64 - 1
 
 # Ranks are plain integers in [0, n].
@@ -78,12 +76,13 @@ def validate_key_array(raw, mode: str = FLOAT_MODE) -> KeyArray:
     default (unstable) sort, which is bit-identical to a stable sort except
     that ``-0.0`` and ``+0.0`` keys, which compare equal, may swap places.
     Float mode rejects NaN and infinities; integer mode stores unsigned
-    64-bit values.
+    64-bit values and rejects any value that is not an integer in [0, 2^64).
 
     Raises:
         EmptyInput: ``raw`` has no elements.
         NonFiniteKey: float mode saw NaN or +/-inf.
-        InvalidParams: ``mode`` is not one of :data:`MODES`.
+        InvalidParams: ``mode`` is not one of :data:`MODES`, or integer mode saw
+            a value that is not an integer in [0, 2^64).
     """
     return _validated(raw, mode)[0]
 
@@ -94,9 +93,9 @@ def _validated(raw, mode: str, frozen: bool = False) -> tuple[KeyArray, bool]:
     ``frozen``: ``raw`` is a read-only array that nothing can write to (such as
     a view over ``bytes``), so sorted keys keep it as their storage, uncopied.
     """
-    if mode not in _DTYPES:
+    if mode not in MODES:
         raise InvalidParams(f"unknown key mode {mode!r}")
-    arr = np.asarray(raw, dtype=_DTYPES[mode])
+    arr = _uint64_keys(raw) if mode == INT_MODE else np.asarray(raw, dtype=np.float64)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     if arr.size == 0:
@@ -114,6 +113,35 @@ def _validated(raw, mode: str, frozen: bool = False) -> tuple[KeyArray, bool]:
         arr = arr.copy()
     arr.setflags(write=False)
     return KeyArray(keys=arr, mode=mode), was_sorted
+
+
+def _uint64_keys(raw) -> np.ndarray:
+    """``raw`` as uint64 keys, refusing any value that is not an integer in [0, 2^64).
+
+    A uint64 array, which :func:`espc.data.read_sosd` passes, is taken with no pass.
+    """
+    arr = np.asarray(raw)
+    if arr.dtype == np.uint64:
+        return arr
+    kind = arr.dtype.kind
+    if kind in "bu" or kind == "i" and not (arr < 0).any():
+        return arr.astype(np.uint64)
+    if kind == "f" and isinstance(raw, np.ndarray):
+        if ((arr >= 0) & (arr < 2.0**64) & (np.floor(arr) == arr)).all():  # NaN fails
+            return arr.astype(np.uint64)
+    elif kind in "fO":  # from Python scalars, which numpy may have rounded to float64
+        values = np.asarray(raw, dtype=object).ravel().tolist()
+        if all(_is_uint64(v) for v in values):
+            return np.array(values, dtype=np.uint64)
+    raise InvalidParams("integer keys must be integers in [0, 2^64)")
+
+
+def _is_uint64(v) -> bool:
+    try:
+        i = int(v)  # exact for an integral float, so i == v compares exactly
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return 0 <= i <= _UINT64_MAX and i == v
 
 
 def rank_bruteforce(A: KeyArray, q) -> Rank:

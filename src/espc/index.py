@@ -39,7 +39,8 @@ from .search import SearchOutcome, _gallop, exponential_search_many
 
 MAGIC = b"ESPC2"
 SLOT_BYTES = 4
-HEADER_BYTES = len(MAGIC) + 2 * 8 + 3 * 8  # magic, n, K, x_first, x_last, delta
+_HEADER = struct.Struct("<QQddd")  # after the magic: n, K, x_first, x_last, delta
+HEADER_BYTES = len(MAGIC) + _HEADER.size
 MAGIC_SHIFTED = b"ESPC3"  # the same layout, with the shift s of g where ESPC2 has delta
 MAX_KEYS = 2**31 - 1  # the most keys n for which every slot, up to 2n, fits a uint32
 CELL_LIMIT = 2**26  # cells any key count may ask for: 768 MiB at a build's 12 bytes a cell
@@ -53,7 +54,7 @@ def _bits(x: float) -> int:
     """β(x): the IEEE-754 bits of the float64 ``x`` read as an int64.
 
     For x > 0 this is increasing and piecewise linear in x, a scaled log2 of x
-    plus a constant; numpy reads the same value as ``x.view(np.int64)``.
+    plus a constant; numpy reads the same value through an int64 view (:func:`_scaled`).
     """
     return _unpack_i64(_pack_f64(x))[0]
 
@@ -81,9 +82,9 @@ class EspcIndex:
     ``x - x_first`` when ``shift`` is None, and otherwise
     ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
     scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields;
-    an empty ``t`` raises InvalidK.  Instances are immutable and safe for concurrent
-    lookups.  They pickle and deep-copy as their fields, and the copy derives its
-    record again.
+    a ``t`` that is not a 1-D uint32 array raises InvalidParams, an empty one
+    InvalidK.  Instances are immutable and safe for concurrent lookups.  They
+    pickle and deep-copy as their fields, and the copy derives its record again.
     """
 
     x_first: float
@@ -97,12 +98,16 @@ class EspcIndex:
         # delta, shift, base), slots[k] == t.item(k), base = β(x_first - shift), and a single
         # point's delta read as inf.  Set here, not by a cached_property, whose write to
         # __dict__ would make every attribute read of the index about three times slower.
-        k = len(self.t)
+        t = self.t
+        if not (isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.uint32):
+            got = f"{t.ndim}-D {t.dtype}" if isinstance(t, np.ndarray) else type(t).__name__
+            raise InvalidParams(f"slots t must be a 1-D uint32 array, got {got}")
+        k = len(t)
         if not k:
             raise InvalidK("an index needs at least one interval")
         delta = _span(self.x_first, self.x_last, self.shift) / k  # as _cell_counts divides
         base = None if self.shift is None else _bits(self.x_first - self.shift)
-        slots = memoryview(self.t).toreadonly()
+        slots = memoryview(t).toreadonly()
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "_record", (slots, k, self.x_first, delta or math.inf,
@@ -134,21 +139,25 @@ def assign_intervals(values, lo: float, step: float, k: int, shift=None) -> np.n
     formula, never by recomputing boundary positions, so every value maps to
     exactly one interval even under floating-point roundoff.
     """
-    # One float buffer, updated in place; the outer asarray keeps 0-d input an array.
     with np.errstate(over="ignore"):  # clamped below
-        if shift is None:
-            raw = np.asarray(np.asarray(values, dtype=np.float64) - lo)
-            raw /= step
-        else:
-            raw = np.asarray(np.asarray(values, dtype=np.float64) - shift)
-            cells = np.asarray(raw.view(np.int64) - _bits(lo - shift))  # g, exact in int64
-            np.divide(cells, step, out=raw)  # float(g) / step, as Python's int / float
+        raw = _scaled(values, lo, step, shift)
     np.ceil(raw, out=raw)
     raw.clip(1, k, out=raw)  # one fused pass; the method skips np.clip's dispatch
+    return raw.astype(np.int64)
+
+
+def _scaled(values, lo: float, step: float, shift: float | None) -> np.ndarray:
+    """g(v)/step for the float64 ``values``, as a new float64 array; 0-d input stays an array.
+
+    g(v) is v - lo, or with a ``shift`` β(v - shift) - β(lo - shift), exact in int64 and
+    divided as Python divides an int by a float.  No other numpy code computes g.
+    """
+    y = np.asarray(np.asarray(values, dtype=np.float64) - (lo if shift is None else shift))
     if shift is None:
-        return raw.astype(np.int64)
-    cells[...] = raw  # g's int64 buffer takes the result: two buffers, as without a shift
-    return cells
+        y /= step
+    else:
+        np.divide(y.view(np.int64) - _bits(lo - shift), step, out=y)
+    return y
 
 
 def _lookup(record: tuple, keys, q, comparisons: int):
@@ -265,10 +274,17 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
         InvalidK: k outside [1, max(CELL_LIMIT, n)], (x_last - x_first)/k is not
             a positive finite float, or k slots cannot be allocated.
     """
+    return _build(A, k, _choose_shift(A.keys, float(A.keys[0]), float(A.keys[-1])))
+
+
+def _build(A: KeyArray, k: int, shift: float | None) -> EspcIndex:
+    """:func:`build_espc` on the scale of g's ``shift``, as :func:`_choose_shift` chose it for ``A``.
+
+    A caller that builds many K over the same keys chooses the scale once.
+    """
     if A.n > MAX_KEYS:
         raise InvalidParams(f"an index holds at most {MAX_KEYS} keys, got {A.n}")
     x_first, x_last = float(A.keys[0]), float(A.keys[-1])
-    shift = _choose_shift(A.keys, x_first, x_last)
     counts = _cell_counts(A.keys, x_first, x_last, k, shift)
     c = np.add.accumulate(counts, out=counts)  # np.cumsum without its dispatch cost
     t = np.empty(len(c), dtype=np.uint32)
@@ -278,13 +294,21 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     return EspcIndex(x_first=x_first, x_last=x_last, n=A.n, t=t, shift=shift)
 
 
+def _float(q) -> float:
+    """float(q), with an integer too large for a float64 read as an infinity of its sign."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def locate_interval(idx: EspcIndex, q) -> int:
     """Interval number (1-based) containing ``q``; constant time.
 
     Raises:
         OutOfRange: q outside [x_first, x_last], or NaN.
     """
-    qf = float(q)
+    qf = _float(q)
     if not idx.x_first <= qf <= idx.x_last:  # NaN fails this too
         raise OutOfRange(f"{q!r} outside [{idx.x_first}, {idx.x_last}]")
     return _lookup(idx._record, None, qf, 0)
@@ -296,7 +320,7 @@ def predict(idx: EspcIndex, q) -> float:
     Exact (0 or n) outside the key range; the stored interval estimate
     otherwise.  Non-decreasing in q.
     """
-    qf = float(q)
+    qf = _float(q)
     if qf < idx.x_first:
         return 0.0
     if qf > idx.x_last:
@@ -333,16 +357,10 @@ def _slots(idx: EspcIndex, v: np.ndarray, lo, hi) -> np.ndarray:
     below 1 both forms are at most 0, so clipping to [0, K - 1] in ``take`` gives the rule.
     Values are clamped to the keys only when some lie outside; inside, nothing overflows.
     """
-    if idx.delta == 0.0:
-        return np.full(v.shape, idx.t[0])
-    if lo < idx.x_first or hi > idx.x_last:
-        v = v.clip(idx.x_first, idx.x_last)
-    if idx.shift is None:
-        y = np.asarray(v - idx.x_first)  # a 0-d array stays an array
-        y /= idx.delta
-    else:
-        y = np.asarray(v - idx.shift)
-        np.divide(y.view(np.int64) - idx._record[5], idx.delta, out=y)  # β(x_first - shift)
+    _, _, x_first, delta, shift, _ = idx._record  # one point's delta is inf: every y is -1
+    if lo < x_first or hi > idx.x_last:
+        v = v.clip(x_first, idx.x_last)
+    y = _scaled(v, x_first, delta, shift)
     y -= 1.0
     np.ceil(y, out=y)
     return idx.t.take(y.astype(np.intp), mode="clip")
@@ -567,7 +585,7 @@ def serialize_index(idx: EspcIndex) -> bytes:
 
 def _header(idx: EspcIndex) -> bytes:
     magic, last = (MAGIC, idx.delta) if idx.shift is None else (MAGIC_SHIFTED, idx.shift)
-    return magic + struct.pack("<QQddd", idx.n, idx.K, idx.x_first, idx.x_last, last)
+    return magic + _HEADER.pack(idx.n, idx.K, idx.x_first, idx.x_last, last)
 
 
 def _slot_view(idx: EspcIndex) -> memoryview:
@@ -587,8 +605,7 @@ def deserialize_index(blob: bytes) -> EspcIndex:
     magic = blob[: len(MAGIC)]
     if len(blob) < HEADER_BYTES or magic not in (MAGIC, MAGIC_SHIFTED):
         raise InvalidIndexFile("not a serialized index (bad magic)")
-    n, k = struct.unpack_from("<QQ", blob, len(MAGIC))
-    x_first, x_last, delta = struct.unpack_from("<ddd", blob, len(MAGIC) + 16)
+    n, k, x_first, x_last, delta = _HEADER.unpack_from(blob, len(MAGIC))
     if len(blob) != HEADER_BYTES + SLOT_BYTES * k:
         raise InvalidIndexFile(
             f"expected {HEADER_BYTES + SLOT_BYTES * k} bytes for K={k}, got {len(blob)}"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from espc import bench as bench_mod
 from espc.bench import (
     CSV_COLUMNS,
     BenchConfig,
@@ -124,6 +125,30 @@ class TestRunErrorExperiment:
         for rec in run_error_experiment(cfg):
             predictions = predict_many(build_espc(keys, rec.k), queries)
             assert rec.mean_error == float(np.mean(np.abs(ranks - predictions)))
+
+    def test_scale_is_chosen_once_and_rows_match_build_espc(self, monkeypatch):
+        choices = []
+        choose = bench_mod._choose_shift
+
+        def counted(*args):
+            choices.append(choose(*args))
+            return choices[-1]
+
+        monkeypatch.setattr(bench_mod, "_choose_shift", counted)
+        cfg = _small_cfg(dataset=DatasetSpec("lognormal", n=20_000, seed=3), n_sub=0,
+                         k_grid=(10, 1_000, 20_000), queries=2_000)
+        records = run_error_experiment(cfg)
+        assert len(choices) == 1 and choices[0] is not None  # one log scale for the grid
+        keys = prepare_keys(cfg)
+        queries = draw_queries(cfg, keys)
+        ranks = np.searchsorted(keys.keys, queries, side="right")
+        for rec in records:
+            idx = build_espc(keys, rec.k)
+            assert idx.shift == choices[0]
+            assert rec.space_bytes == measure_space(idx)
+            assert rec.mean_error == measure_errors(idx, queries, ranks)
+            counts, _ = measure_comparisons(idx, keys, queries, ranks)
+            assert rec.mean_comparisons == float(np.mean(counts))
 
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidParams):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from espc.bench import BenchConfig, run_error_experiment
 from espc.cli import dispatch
 from espc.core import FLOAT_MODE, INT_MODE, KeyArray, rank_bruteforce, validate_key_array
-from espc.data import read_sosd, write_sosd
+from espc.data import DatasetSpec, read_sosd, write_sosd
 from espc.index import HEADER_BYTES, MAX_KEYS, SLOT_BYTES
 
 
@@ -190,6 +192,18 @@ class TestRhoAndEntropy:
         h2 = float(out.split("h2=")[1].split()[0])
         assert 2.5 <= h2 <= 2.78  # close to ln(16) for near-uniform cells
 
+    def test_entropy_in_bits(self, tmp_path, capsys):
+        data = str(tmp_path / "u.sosd")
+        _run(capsys, ["generate", "--kind", "beta22", "--n", "10000", "--seed", "7",
+                      "--out", data])
+        argv = ["entropy", "--data", data, "--mode", "float64", "--k", "16"]
+        lines = [_run(capsys, argv + flag)[1].split() for flag in ([], ["--bits"])]
+        (nats, nats_bound, nats_unit, _), (bits, bits_bound, bits_unit, _) = (
+            [field.split("=")[1] for field in line] for line in lines)
+        assert (nats_unit, bits_unit) == ("nats", "bits")
+        assert float(bits) == pytest.approx(float(nats) / math.log(2), rel=1e-5)
+        assert float(bits_bound) == pytest.approx(float(nats_bound) / math.log(2), rel=1e-5)
+
 
 class TestBench:
     def test_flags_run_and_write_csv(self, tmp_path, capsys):
@@ -203,6 +217,22 @@ class TestBench:
         assert code == 0
         assert "mean_error=" in out
         assert len(open(csv_path).read().splitlines()) == 3
+
+    def test_query_kind_draws_the_queries_from_that_distribution(self, tmp_path, capsys):
+        argv = ["bench", "--kind", "beta22", "--n", "20000", "--k-grid", "16,128",
+                "--queries", "2000", "--seed", "4", "--check"]
+        rows = []
+        for flag in ([], ["--query-kind", "uniform"]):
+            csv_path = tmp_path / f"r{len(rows)}.csv"
+            assert _run(capsys, [*argv, *flag, "--out", str(csv_path)])[0] == 0
+            with open(csv_path, newline="") as fh:
+                rows.append([[row[c] for c in ("k", "mean_error", "bound", "mean_comparisons")]
+                             for row in csv.DictReader(fh)])
+        cfg = BenchConfig(dataset=DatasetSpec("beta22", n=20000, seed=4), k_grid=(16, 128),
+                          queries=2000, seed=4, query_dist=DatasetSpec("uniform"))
+        expect = [[str(getattr(rec, c)) for c in ("k", "mean_error", "bound", "mean_comparisons")]
+                  for rec in run_error_experiment(cfg)]
+        assert rows[1] == expect and rows[0] != expect
 
     def test_file_subsample_repeats(self, tmp_path, capsys):
         data = tmp_path / "keys.sosd"
@@ -304,6 +334,17 @@ class TestUsage:
         code, _, err = _run(capsys, ["query", "--index", idx_path, *float_args, "--q", "nan"])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_integer_query_past_float64_answers_without_traceback(self, tmp_path, capsys,
+                                                                  int_file):
+        # float() of such a query overflows; it lies past every key, or before them all.
+        idx_path = str(tmp_path / "keys.espc")
+        assert _run(capsys, ["build", "--data", int_file, "--k", "2", "--out", idx_path])[0] == 0
+        for q, rank in ((10**400, 8), (-(10**400), 0)):
+            code, out, err = _run(capsys, ["query", "--index", idx_path, "--data", int_file,
+                                           "--q", str(q)])
+            assert (code, err) == (0, "")
+            assert out.startswith(f"rank={rank} error=0.0 ")
 
     def test_usage_error_then_valid_command(self, capsys, int_file):
         # One parser serves the whole process: an error leaves it as a fresh one is.

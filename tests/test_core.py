@@ -14,6 +14,7 @@ from espc.core import (
     rank_bruteforce,
     validate_key_array,
 )
+from espc.core import _uint64_keys
 from espc.errors import EmptyInput, EspcError, InvalidParams, NonFiniteKey
 
 
@@ -51,6 +52,25 @@ class TestValidateKeyArray:
             validate_key_array([], FLOAT_MODE)
         with pytest.raises(EmptyInput):  # made directly, the record needs a first key
             KeyArray(keys=np.empty(0), mode=FLOAT_MODE)
+
+    @pytest.mark.parametrize("raw", [
+        np.array([-1, 5], dtype=np.int64),  # a cast would wrap -1 to 2^64 - 1 and sort it last
+        [0.5, 2.7],  # a cast would truncate to [0, 2]
+        [2**64],  # a cast would raise a bare OverflowError
+        np.array([3.0, np.nan]), np.array([2.0**64]), [-1], ["1"],
+    ], ids=["negative_int64", "fractions", "2_64", "nan", "float_2_64", "negative_list", "text"])
+    def test_integer_mode_refuses_what_is_not_a_uint64(self, raw):
+        with pytest.raises(InvalidParams, match=r"\[0, 2\^64\)"):
+            validate_key_array(raw, INT_MODE)
+
+    def test_integer_mode_keeps_every_uint64(self):
+        top = 2**64 - 1
+        for raw in ([top, 0, 2**63 + 1], np.array([top, 0], dtype=np.uint64),
+                    np.array([7.0, 0.0]), np.arange(3, dtype=np.int8), [True, 4.0, 2**63]):
+            expect = sorted(int(v) for v in np.asarray(raw, dtype=object).tolist())
+            assert validate_key_array(raw, INT_MODE).keys.tolist() == expect
+        uint = np.array([1, 2], dtype=np.uint64)
+        assert _uint64_keys(uint) is uint  # uint64 keys, as read_sosd passes, take no pass
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(EspcError):

@@ -205,6 +205,16 @@ class TestLocateAndPredict:
         assert predict(idx, -1.0) == 0.0
         assert predict(idx, 99.0) == 4.0
 
+    def test_integers_past_float64_are_infinite(self):
+        # float(10**400) overflows; such a query is past every key, as evaluate_rank finds.
+        A = validate_key_array([2, 3, 5, 7], INT_MODE)
+        idx = build_espc(A, 2)
+        assert (predict(idx, 10**400), predict(idx, -(10**400))) == (4.0, 0.0)
+        assert evaluate_rank(idx, A, 10**400).rank == 4
+        for q in (10**400, -(10**400)):
+            with pytest.raises(OutOfRange):
+                locate_interval(idx, q)
+
     def test_predict_inside(self):
         idx = build_espc(_four_keys(), 2)
         assert predict(idx, 2.9) == 3.0
@@ -263,8 +273,8 @@ class TestEvaluateRank:
     @pytest.mark.parametrize("slot", [-6, 14])
     def test_slot_outside_the_ranks_raises_start_out_of_range(self, slot):
         # Loading refuses such a slot; built by hand, the lookup must still refuse
-        # its start rather than read the keys from the end.
-        idx = EspcIndex(x_first=0.0, x_last=3.0, n=4, t=np.array([slot]))
+        # its start rather than read the keys from the end.  -6 wraps to 2^32 - 6.
+        idx = EspcIndex(x_first=0.0, x_last=3.0, n=4, t=np.array([slot]).astype(np.uint32))
         with pytest.raises(StartOutOfRange):
             evaluate_rank(idx, _four_keys(), 1.5)
 
@@ -276,6 +286,14 @@ class TestEvaluateRank:
         assert predict_many(idx, grid).tolist() == [predict(idx, q) for q in grid.tolist()]
         with pytest.raises(InvalidK):
             EspcIndex(x_first=0.0, x_last=3.0, n=4, t=np.array([], dtype=np.uint32))
+
+    @pytest.mark.parametrize("t", [
+        [1, 3], (1, 3), np.array([1.0, 3.0]), np.array([1, 3]), np.array([[1, 3]], dtype=np.uint32),
+        np.array([1, 3], dtype=">u4"), memoryview(np.array([1, 3], dtype=np.uint32)),
+    ], ids=["list", "tuple", "float64", "int64", "2-D", "big-endian", "memoryview"])
+    def test_hand_built_slots_must_be_a_uint32_vector(self, t):
+        with pytest.raises(InvalidParams, match="1-D uint32"):
+            EspcIndex(x_first=0.0, x_last=3.0, n=4, t=t)
 
     def test_exactness_random_with_boundary_adversaries(self):
         rng = np.random.default_rng(25)
