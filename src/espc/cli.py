@@ -284,9 +284,11 @@ def _read_config(path) -> dict:
 
 
 def _int_tuple(value) -> tuple[int, ...]:
-    """Interval counts from "10,100" (the --k-grid flag) or a JSON list."""
+    """Interval counts from "10,100" (the --k-grid flag) or a JSON list of integers."""
     try:
-        return tuple(int(k) for k in (value.split(",") if isinstance(value, str) else value))
+        if isinstance(value, str):
+            return tuple(int(k) for k in value.split(","))
+        return tuple(_json_value(k) for k in value)
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"k_grid {value!r} is not a list of integers") from exc
 
@@ -306,18 +308,26 @@ def _spec_from_dict(entry) -> DatasetSpec:
         raise ValueError(f"dataset entry {entry!r} is not a JSON object with object params")
     return DatasetSpec(
         kind=entry.get("kind", "uniform"),
-        n=int(entry.get("n", 1_000_000)),
+        n=_json_value(entry.get("n", 1_000_000)),
         params=entry.get("params", {}),
-        seed=int(entry.get("seed", 0)),
+        seed=_json_value(entry.get("seed", 0)),
     )
+
+
+def _json_value(value, kind=int):
+    """``value`` if its type is ``kind``: as for the flags, a fraction, a string or a
+    boolean is no integer."""
+    if type(value) is not kind:  # bool subclasses int
+        raise ValueError(f"{value!r} is not a JSON {kind.__name__}")
+    return value
 
 
 # How each config entry becomes a BenchConfig value; other entries are ignored.  The bench
 # flags that override an entry carry its name (dataset and query_dist have their own).
 _CONFIG_FIELDS = {
-    "dataset": _spec_from_dict, "n_sub": int, "k_grid": _int_tuple, "queries": int,
-    "query_dist": _spec_from_dict, "rho_method": str, "seed": int,
-    "rescale": bool, "output": str,
+    "dataset": _spec_from_dict, "n_sub": _json_value, "k_grid": _int_tuple, "queries": _json_value,
+    "query_dist": _spec_from_dict, "rho_method": str, "seed": _json_value,
+    "rescale": functools.partial(_json_value, kind=bool), "output": str,
 }
 
 

@@ -149,7 +149,8 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
 
     This is the definitional oracle; ties are counted (rank of a
     duplicated key includes every copy).  Always in [0, n] and
-    non-decreasing in ``q``.
+    non-decreasing in ``q``.  On float keys a query is its float64
+    (:func:`_float`); on integer keys it is compared exactly.
     """
     if A.mode == INT_MODE:
         # numpy would compare in float64, rounding keys above 2^53; an integer
@@ -161,60 +162,74 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
         if q > _UINT64_MAX:
             return A.n
         q = np.uint64(q)
+    else:
+        q = _float(q)
     return int(np.count_nonzero(A.keys <= q))
+
+
+def _float(q) -> float:
+    """``q`` as float keys read it, as numpy does: float(q), an int past float64 an infinity."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def exact_ranks(A: KeyArray, queries) -> np.ndarray:
     """:func:`rank_bruteforce` of a 1-D query array, by binary search.
 
-    Queries on integer keys follow the oracle's rule (:func:`int_key_queries`),
-    where numpy alone would compare in float64.  The queries are searched in
-    sorted order, in which numpy starts each search from the one before (about
-    3x faster for 10^4 queries over 10^6 keys), and their ranks put back in place.
+    Queries follow the oracle's rule through :func:`key_queries`.  They are
+    searched in sorted order, in which numpy starts each search from the one
+    before (about 3x faster for 10^4 queries over 10^6 keys), and their ranks
+    put back in place.
 
     Raises:
-        InvalidParams: the queries are not a 1-D array.
+        InvalidParams: as :func:`key_queries`.
     """
-    values = np.asarray(queries)
-    if values.ndim != 1:
-        raise InvalidParams(f"queries must be a 1-D array, got {values.ndim}-D")
-    below = None
-    if A.mode == INT_MODE:
-        values, below, _ = int_key_queries(values)
+    values, under, _ = key_queries(A, queries)
     order = np.argsort(values)
     ranks = np.empty(len(values), dtype=np.intp)
     ranks[order] = np.searchsorted(A.keys, values[order], side="right")
-    if below is not None:
-        ranks[below] = 0
+    ranks[under] = 0
     return ranks
 
 
-def int_key_queries(queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Many queries as uint64 values that compare exactly with integer keys.
+def key_queries(A: KeyArray, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 1-D query array as ``(values, under, over)``: values that compare with the keys
+    of ``A`` as the oracle does, and the masks of the queries below the least key (NaN
+    included) and above the greatest.
 
-    An integer key is <= q exactly when it is <= floor(q), so each query is
-    floored and clamped: queries at or past 2^64 become 2^64 - 1, which every
-    key is <= (their ``inexact`` entry is set); NaN and negative queries, which
-    no key is <=, become 0 and are marked in ``below``.  ``inexact`` marks the
-    queries that exceed their returned value, so q > key exactly when
-    value > key, or value == key and inexact.
+    On float keys the values are the queries' float64.  On integer keys, where an
+    integer key is <= q exactly when it is <= floor(q), each query is floored and
+    clamped to uint64: NaN and negative queries become 0, and queries at or past
+    2^64 become 2^64 - 1, which every key is <= though the query exceeds it.
 
-    Returns:
-        (values, below, inexact): a uint64 array and two boolean masks, each of
-        the queries' shape (0-d included).
+    Raises:
+        InvalidParams: the queries are not a 1-D numeric array, or, on integer
+            keys, are a list that numpy makes float64 though an integer in it
+            is not a float64 (such as ``[-1, 2**63 + 5]``).
     """
     q = np.asarray(queries)
-    if q.dtype.kind in "iu":
-        below = q < 0
-        return np.where(below, 0, q).astype(np.uint64), below, np.zeros(q.shape, bool)
+    if q.ndim != 1 or q.dtype.kind not in "biuf":  # "O": Python ints beyond 64 bits
+        raise InvalidParams(f"queries must be a 1-D numeric array, got {q.ndim}-D {q.dtype}")
+    _, _, lo, hi, _, _ = A._probe
+    if A.mode != INT_MODE:
+        values = q.astype(np.float64, copy=False)
+        return values, ~(values >= lo), values > hi
+    if q.dtype.kind in "biu":
+        under = q < lo
+        return np.where(under, 0, q).astype(np.uint64), under, q > hi
+    if isinstance(queries, (list, tuple)):  # numpy rounds [-1, 2**63 + 5]
+        if any(isinstance(v, (int, np.integer)) and float(v) != int(v) for v in queries):
+            raise InvalidParams("queries hold integers that float64 cannot represent exactly")
     q = q.astype(np.float64, copy=False)
     below = ~(q >= 0)  # NaN counts as below
     above = q >= 2.0**64
-    clamped = np.where(below | above, 0.0, q)
-    floors = np.floor(clamped)
-    values = np.asarray(floors.astype(np.uint64))  # np.floor makes 0-d input a scalar
+    floors = np.floor(np.where(below | above, 0.0, q))
+    values = floors.astype(np.uint64)
     values[above] = _UINT64_MAX
-    return values, below, above | (floors < clamped)
+    # A query past its value lies above a greatest key equal to that value.
+    return values, below | (values < lo), (values > hi) | (values == hi) & (floors < q)
 
 
 def _is_sorted(arr: np.ndarray) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT_MODE, KeyArray, int_key_queries
+from .core import KeyArray, _float, key_queries
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -294,14 +294,6 @@ def _build(A: KeyArray, k: int, shift: float | None) -> EspcIndex:
     return EspcIndex(x_first=x_first, x_last=x_last, n=A.n, t=t, shift=shift)
 
 
-def _float(q) -> float:
-    """float(q), with an integer too large for a float64 read as an infinity of its sign."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
-
-
 def locate_interval(idx: EspcIndex, q) -> int:
     """Interval number (1-based) containing ``q``; constant time.
 
@@ -333,8 +325,12 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
 
     Raises:
         OutOfRange: a value is NaN.
+        InvalidParams: a value that numpy cannot hold as a float64, such as ``10**400``.
     """
-    v = np.asarray(values, dtype=np.float64)
+    try:
+        v = np.asarray(values, dtype=np.float64)
+    except (OverflowError, ValueError, TypeError) as exc:
+        raise InvalidParams(f"queries are not float64 values: {exc}") from exc
     if not v.size:
         return np.empty(v.shape)
     # The ufuncs, not v.min() and v.max(), whose Python wrappers cost about 1 us a call.
@@ -378,9 +374,9 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
         OutOfRange: q is NaN.
         StartOutOfRange: a slot outside [0, n], which only a hand-built index holds.
     """
-    if type(q) is not float and isinstance(q, np.floating):  # np.float64 subclasses float
-        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     keys, n, lo, hi, lo_f, hi_f = A._probe
+    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
+        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
     if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
         raise _mismatch(idx.n, A)
     if not lo <= q <= hi:
@@ -403,8 +399,8 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     The result equals :func:`evaluate_rank` on each element of
     ``np.asarray(qs)``.  Queries below the keys cost 1 comparison and those
     above cost 2; the others start at ceil(estimate) of their interval and
-    run :func:`espc.search.exponential_search_many`.  On integer keys,
-    queries follow the oracle's rule (:func:`espc.core.int_key_queries`).
+    run :func:`espc.search.exponential_search_many`.  Queries meet the keys
+    as :func:`espc.core.key_queries` reads them.
 
     Returns:
         (ranks, comparisons): two int64 arrays, one entry per query.
@@ -412,27 +408,15 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     Raises:
         IndexMismatch: index was built over an array of other length or key range.
         OutOfRange: a query is NaN.
-        InvalidParams: the queries are not a 1-D numeric array, or are a list
-            that numpy makes float64 though an integer in it is not a float64.
+        InvalidParams: as :func:`espc.core.key_queries`.
     """
-    _, n, lo, hi, lo_f, hi_f = A._probe
+    _, n, _, _, lo_f, hi_f = A._probe
     if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
         raise _mismatch(idx.n, A)
-    raw = np.asarray(qs)
-    if raw.ndim != 1 or raw.dtype.kind not in "biuf":  # "O": Python ints beyond 64 bits
-        raise InvalidParams(f"queries must be a 1-D numeric array, got {raw.ndim}-D {raw.dtype}")
-    if raw.dtype.kind == "f" and isinstance(qs, (list, tuple)):  # numpy rounds [-1, 2**63 + 5]
-        if any(isinstance(q, (int, np.integer)) and float(q) != int(q) for q in qs):
-            raise InvalidParams("queries hold integers that float64 cannot represent exactly")
-    if raw.dtype.kind == "f" and np.isnan(raw).any():
+    q, under, over = key_queries(A, qs)
+    raw = np.asarray(qs)  # the queries' own values, which locate them
+    if np.isnan(raw).any():
         raise OutOfRange("NaN query has no rank")
-    if A.mode == INT_MODE:
-        q, below, inexact = int_key_queries(raw)
-        under = below | (q < lo)
-        over = ~under & ((q > hi) | ((q == hi) & inexact))  # hi + 0.5 floors to hi
-    else:
-        q = raw.astype(np.float64, copy=False)
-        under, over = q < lo, q > hi
     ranks = np.where(over, n, 0)
     comparisons = np.where(under, 1, 2)
     inside = np.flatnonzero(~(under | over))
@@ -551,10 +535,10 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
             key, or its top layer over other boundaries.
         OutOfRange: q is NaN.
     """
-    if type(q) is not float and isinstance(q, np.floating):  # np.float64 subclasses float
-        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
     view, top, last, k, built_n, first_f = h._record
     keys, n, lo, hi, lo_f, _ = A._probe
+    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
+        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
     if built_n != n or first_f != lo_f:
         raise _mismatch(built_n, A)
     if not lo <= q <= hi:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import KeyArray, Rank
+from .core import KeyArray, Rank, _float
 from .errors import InvalidParams, StartOutOfRange
 
 
@@ -39,9 +39,9 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
 
     Costs at most ceil(log2(n + 1)) key comparisons.
     """
-    if isinstance(q, np.floating):
-        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    keys, n = A._probe[:2]
+    keys, n, lo = A._probe[:3]
+    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
+        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
     return tuple.__new__(SearchOutcome, _bisect(keys, 0, n, q, 0))
 
 
@@ -57,9 +57,10 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     Raises:
         StartOutOfRange: ``i`` outside [0, n].
     """
-    if isinstance(q, np.floating):
-        q = float(q)  # a Python int key compares with np.float64 in float64, not exactly
-    return tuple.__new__(SearchOutcome, _gallop(A._probe[0], i, q, 0))
+    keys, _, lo = A._probe[:3]
+    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
+        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+    return tuple.__new__(SearchOutcome, _gallop(keys, i, q, 0))
 
 
 def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:
@@ -126,7 +127,7 @@ def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.nda
     phase: the first probe at its start, the rightward or leftward gallop
     (all lanes in a gallop share the current step), then the bisection.
     Queries are compared as the keys' dtype: float64 on float keys, uint64
-    on integer keys (see :func:`espc.core.int_key_queries` for other queries).
+    on integer keys (:func:`espc.core.key_queries` makes other queries so).
 
     Returns:
         (ranks, comparisons): two int64 arrays, one entry per query.

@@ -454,6 +454,14 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _bad_config(json.dumps({"dataset": {"kind": "uniform", "n": "x"}})),
         _bad_config(json.dumps({"dataset": _UNIFORM, "k_grid": "abc", "queries": 10})),
         _bad_config(json.dumps({"dataset": _UNIFORM, "n_sub": "x", "queries": 10})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "k_grid": [10.7, 100], "queries": 10})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "queries": 50.9})),
+        _bad_config(json.dumps({"dataset": {"kind": "uniform", "n": 1000.5}, "queries": 10})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "n_sub": 2.5, "queries": 10})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "seed": True, "queries": 10})),
+        _bad_config(json.dumps({"dataset": _UNIFORM, "rescale": "false", "queries": 10})),
+        _bad_config(json.dumps({"dataset": ["uniform"], "queries": 10})),
+        _bad_config(json.dumps({"dataset": {"kind": "normal", "params": [1.0]}, "queries": 10})),
         _truncated_gz,
         _negative_seed("bench"),
         _negative_seed("generate"),
@@ -470,6 +478,8 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _rho_on(range(10), "bandwidth", "--bandwidth", "0.1"),
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
+         "fraction_k_grid", "fraction_queries", "fraction_n", "fraction_n_sub", "bool_seed",
+         "text_rescale", "dataset_not_object", "params_not_object",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate",
          "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow",
          "generate_huge_n", "rho_bins_past_int64", "rho_infinite_bins",

@@ -8,9 +8,10 @@ import pytest
 from espc.core import (
     FLOAT_MODE,
     INT_MODE,
+    MODES,
     KeyArray,
     exact_ranks,
-    int_key_queries,
+    key_queries,
     rank_bruteforce,
     validate_key_array,
 )
@@ -58,7 +59,9 @@ class TestValidateKeyArray:
         [0.5, 2.7],  # a cast would truncate to [0, 2]
         [2**64],  # a cast would raise a bare OverflowError
         np.array([3.0, np.nan]), np.array([2.0**64]), [-1], ["1"],
-    ], ids=["negative_int64", "fractions", "2_64", "nan", "float_2_64", "negative_list", "text"])
+        [1, math.inf], [math.nan], [None, 1],  # list items that int() refuses
+    ], ids=["negative_int64", "fractions", "2_64", "nan", "float_2_64", "negative_list", "text",
+            "inf_list", "nan_list", "none_list"])
     def test_integer_mode_refuses_what_is_not_a_uint64(self, raw):
         with pytest.raises(InvalidParams, match=r"\[0, 2\^64\)"):
             validate_key_array(raw, INT_MODE)
@@ -84,6 +87,13 @@ class TestValidateKeyArray:
         A = validate_key_array([1, 2, 3], INT_MODE)
         with pytest.raises(ValueError):
             A.keys[0] = 7
+
+    def test_2d_input_is_flattened(self):
+        for mode in MODES:
+            A = validate_key_array([[3, 1], [2, 4]], mode)
+            assert A.keys.ndim == 1
+            assert A.keys.tolist() == [1, 2, 3, 4]
+            assert len(A) == A.n == 4
 
     def test_big_uint64_keys_survive(self):
         big = [2**64 - 1, 2**63, 2**53 + 1]
@@ -131,13 +141,36 @@ class TestRankBruteforce:
         floats = [2.0**60, 2.0**64, math.inf, -math.inf, -0.5, math.nan]
         assert exact_ranks(A, floats).tolist() == [1, 3, 3, 0, 0, 0]
 
-    def test_int_key_queries_keep_a_0d_shape(self):
-        for q, expected in ((5.5, (5, False, True)), (2.0**70, (2**64 - 1, False, True)),
-                            (math.nan, (0, True, False)), (-3, (0, True, False))):
-            values, below, inexact = int_key_queries(q)
-            assert values.dtype == np.uint64
-            assert np.shape(values) == np.shape(below) == np.shape(inexact) == ()
-            assert (values.item(), bool(below), bool(inexact)) == expected
+    def test_key_queries_floor_clamp_and_mark_1d(self):
+        # On integer keys up to 5, 5.5 floors to the greatest key but lies above it.
+        values, under, over = key_queries(validate_key_array([1, 5], INT_MODE),
+                                          [5.5, 2.0**70, math.nan, -3])
+        assert values.dtype == np.uint64
+        assert values.tolist() == [5, 2**64 - 1, 0, 0]
+        assert under.tolist() == [False, False, True, True]
+        assert over.tolist() == [True, True, False, False]
+        # On float keys a NaN query is below every key, as the oracle counts it.
+        values, under, over = key_queries(validate_key_array([1.0, 2.0], FLOAT_MODE),
+                                          [math.nan, 1.5, 3])
+        assert values.dtype == np.float64
+        assert under.tolist() == [True, False, False]
+        assert over.tolist() == [False, False, True]
+        B = validate_key_array([1.0, 2.0, 3.0], FLOAT_MODE)
+        assert exact_ranks(B, [math.nan]).tolist() == [0] == [rank_bruteforce(B, math.nan)]
+
+    def test_float_keys_read_a_query_as_its_float64(self):
+        # 2^53 + 3 is 2^53 + 4 as a float64, which numpy compares with float keys.
+        A = validate_key_array([0.0, 2.0**53 + 4], FLOAT_MODE)
+        assert rank_bruteforce(A, 2**53 + 3) == 2
+        assert exact_ranks(A, [2**53 + 3]).tolist() == [2]
+        B = validate_key_array([1.0, 2.0, 3.0], FLOAT_MODE)
+        assert rank_bruteforce(B, 10**400) == 3
+        assert rank_bruteforce(B, -(10**400)) == 0
+
+    def test_exact_ranks_refuses_what_float64_cannot_hold(self):
+        for mode in MODES:
+            with pytest.raises(InvalidParams):
+                exact_ranks(validate_key_array([1, 2, 3], mode), [10**400])
 
     def test_exact_ranks_refuses_queries_not_1d(self):
         for A, q in ((validate_key_array([1, 2, 3], INT_MODE), 5.0),

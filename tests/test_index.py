@@ -215,6 +215,12 @@ class TestLocateAndPredict:
             with pytest.raises(OutOfRange):
                 locate_interval(idx, q)
 
+    def test_predict_many_refuses_what_float64_cannot_hold(self):
+        idx = build_espc(validate_key_array([2, 3, 5, 7], INT_MODE), 2)
+        for values in ([10**400], ["a"], [1.0, object()]):
+            with pytest.raises(InvalidParams):
+                predict_many(idx, values)
+
     def test_predict_inside(self):
         idx = build_espc(_four_keys(), 2)
         assert predict(idx, 2.9) == 3.0
@@ -433,6 +439,16 @@ class TestEvaluateRankMany:
         # A list that float64 holds exactly still matches the scalar lookup.
         ranks, _ = evaluate_rank_many(idx, A, [-1, 2**63])
         assert ranks.tolist() == [evaluate_rank(idx, A, q).rank for q in (-1, 2**63)] == [0, 1]
+
+    def test_float_keys_read_a_list_as_its_float64(self):
+        # Only integer keys refuse this list, which numpy makes float64.
+        A = validate_key_array([1.0, 2.0**63 + 5, 2.0**64], FLOAT_MODE)
+        idx = build_espc(A, 3)
+        qs = [-1, 2**63 + 5]
+        ranks, comparisons = evaluate_rank_many(idx, A, qs)
+        scalar = [evaluate_rank(idx, A, q) for q in qs]
+        assert ranks.tolist() == [out.rank for out in scalar] == [0, 2]
+        assert comparisons.tolist() == [out.comparisons for out in scalar]
 
     def test_queries_that_are_not_1d_raise(self):
         A = validate_key_array([1.0, 2.0, 3.0], FLOAT_MODE)

@@ -3,8 +3,10 @@
 Key sets cover unsigned integers near 2^64 and near 0, heavy duplicates,
 all-equal keys and finite floats of any magnitude; queries are keys,
 neighbours of keys and arbitrary values on both sides of the key range, as
-Python or as numpy scalars.  Inside the keys, a lookup's comparisons are
-those of the scalar exponential search from its start plus its own checks.
+Python or as numpy scalars.  On float keys every path reads a query,
+Python int, float or numpy float, as its float64, as the oracle does.
+Inside the keys, a lookup's comparisons are those of the scalar
+exponential search from its start plus its own checks.
 Serialized indexes round-trip, and a corrupted
 one is rejected at load, or it no longer matches the keys, or it gives
 exact ranks.
@@ -32,7 +34,14 @@ import warnings
 import numpy as np
 import pytest
 
-from espc.core import FLOAT_MODE, INT_MODE, int_key_queries, rank_bruteforce, validate_key_array
+from espc.core import (
+    FLOAT_MODE,
+    INT_MODE,
+    exact_ranks,
+    key_queries,
+    rank_bruteforce,
+    validate_key_array,
+)
 from espc.errors import (
     DegenerateIQR,
     DegenerateIqrWarning,
@@ -227,6 +236,56 @@ def test_searches_match_oracle_from_every_start(data):
 
 
 @st.composite
+def float_keys_and_mixed_queries(draw):
+    """Float keys, some past 2^53, and queries of each type a lookup takes, with a start each.
+
+    Python ints past 2^53 round as float64s, and ints past float64 read as infinities.
+    """
+    ints = st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=40)
+    keys = draw(st.one_of(ints.map(lambda ks: [float(k) for k in ks]),
+                          st.lists(_FINITE, min_size=1, max_size=40)))
+    A = validate_key_array(keys, FLOAT_MODE)
+    near = [int(k) + d for k in A.keys.tolist()[:10] for d in (-3, -1, 0, 1, 3)]
+    pool = st.one_of(
+        st.sampled_from(near + [2**53 + 3, 2**1024, -(2**1024), 10**400]),
+        st.integers(-(2**70), 2**70),
+        _FINITE,
+        _FINITE.map(np.float64),
+    )
+    queries = draw(st.lists(pool, min_size=1, max_size=20))
+    starts = draw(st.lists(st.integers(0, A.n), min_size=len(queries), max_size=len(queries)))
+    return A, queries, starts
+
+
+@given(float_keys_and_mixed_queries(), st.integers(1, 80), st.integers(1, 20))
+@example((validate_key_array([0.0, 2.0**53 + 4], FLOAT_MODE), [2**53 + 3], [0]), 2, 2)
+def test_every_path_reads_a_float_key_query_as_the_oracle_does(data, k, k_top):
+    A, queries, starts = data
+    idx = _buildable(build_espc, A, k)
+    h = _buildable(build_equal_probability, A, min(k, A.n), k_top)
+    truth = [rank_bruteforce(A, q) for q in queries]
+    assert [binary_search_rank(A, q).rank for q in queries] == truth
+    assert [exponential_search(A, i, q).rank for i, q in zip(starts, queries)] == truth
+    if h is not None:
+        assert [evaluate_rank_hier(h, A, q).rank for q in queries] == truth
+    try:
+        assert exact_ranks(A, queries).tolist() == truth
+    except InvalidParams:  # numpy holds a Python int past 64 bits as an object
+        assert np.asarray(queries).dtype == object
+    if idx is None:
+        return
+    scalar = [evaluate_rank(idx, A, q) for q in queries]
+    assert [out.rank for out in scalar] == truth
+    try:
+        ranks, comparisons = evaluate_rank_many(idx, A, queries)
+    except InvalidParams:
+        assert np.asarray(queries).dtype == object
+    else:
+        assert ranks.tolist() == truth
+        assert comparisons.tolist() == [out.comparisons for out in scalar]
+
+
+@st.composite
 def arrays_and_query_arrays(draw):
     """A key array and a numpy query array: float64 on either mode, or uint64 on int keys."""
     A = draw(key_arrays)
@@ -258,8 +317,7 @@ def test_batched_lookup_matches_scalar(data, k):
 @given(arrays_and_query_arrays())
 def test_batched_search_matches_scalar_from_every_start(data):
     A, qs = data
-    if A.mode == INT_MODE:
-        qs = int_key_queries(qs)[0]
+    qs = key_queries(A, qs)[0]
     starts = np.repeat(np.arange(A.n + 1), len(qs))
     lanes = np.tile(qs, A.n + 1)
     ranks, comparisons = exponential_search_many(A, starts, lanes)

@@ -146,6 +146,14 @@ class TestErrorBounds:
         with pytest.raises(InvalidParams):
             error_bound_partition(0, _profile([1.0]))
 
+    def test_no_cells_no_keys_or_negative_query_rho(self):
+        with pytest.raises(InvalidK):
+            error_bound_rho(10, 0, 0.0, 1.0, 1.0)
+        with pytest.raises(InvalidParams):
+            error_bound_query_dist(10, 5, 0.0, 1.0, 1.0, -0.5)
+        with pytest.raises(InvalidParams):
+            log_error_entropy_bound(0, _profile([1.0]))
+
 
 class TestBinWidth:
     def test_formula(self):
