@@ -316,7 +316,7 @@ def _spec_from_dict(entry) -> DatasetSpec:
 
 def _json_value(value, kind=int):
     """``value`` if its type is ``kind``: as for the flags, a fraction, a string or a
-    boolean is no integer."""
+    boolean is no integer, and a number is no string."""
     if type(value) is not kind:  # bool subclasses int
         raise ValueError(f"{value!r} is not a JSON {kind.__name__}")
     return value
@@ -326,8 +326,9 @@ def _json_value(value, kind=int):
 # flags that override an entry carry its name (dataset and query_dist have their own).
 _CONFIG_FIELDS = {
     "dataset": _spec_from_dict, "n_sub": _json_value, "k_grid": _int_tuple, "queries": _json_value,
-    "query_dist": _spec_from_dict, "rho_method": str, "seed": _json_value,
-    "rescale": functools.partial(_json_value, kind=bool), "output": str,
+    "query_dist": _spec_from_dict, "rho_method": functools.partial(_json_value, kind=str),
+    "seed": _json_value, "rescale": functools.partial(_json_value, kind=bool),
+    "output": functools.partial(_json_value, kind=str),
 }
 
 

@@ -36,6 +36,8 @@ LOGNORMAL = "lognormal"
 FILE = "file"
 
 SYNTHETIC_KINDS = (UNIFORM, NORMAL, BETA22, LOGNORMAL)
+_PARAMS = {UNIFORM: (), BETA22: (), NORMAL: ("mu", "sigma"), LOGNORMAL: ("mu", "sigma"),
+           FILE: ("path", "mode")}  # the params each kind reads
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class DatasetSpec:
     ``sigma``); ``beta22`` (the symmetric Beta(2, 2) hump on [0, 1]);
     ``lognormal`` (params ``mu``, ``sigma``; a heavy-tailed stand-in for
     hard real-world key sets).  Kind ``file`` reads params["path"]
-    (params["mode"] selects int64/float64 payloads).
+    (params["mode"] selects int64/float64 payloads).  A negative seed, or a
+    param that the kind does not read, raises InvalidParams.
     """
 
     kind: str
@@ -57,6 +60,11 @@ class DatasetSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        allowed = _PARAMS.get(self.kind, self.params)  # generate refuses an unknown kind
+        unknown = sorted(set(self.params) - set(allowed))
+        if unknown:
+            raise InvalidParams(f"unknown {self.kind} params {unknown}; "
+                                f"the kind reads {list(allowed) or 'none'}")
 
 
 def generate(spec: DatasetSpec) -> KeyArray:

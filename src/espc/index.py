@@ -13,15 +13,17 @@ Every scalar lookup checks the index and q against the keys' record
 (``KeyArray._probe``), then runs :func:`_lookup` on the record the index derives from
 its fields: it locates the cell, reads the slot and corrects through
 :func:`espc.search._gallop`.  Each structure makes its record when it is made.
-The two-layer lookup runs it on its top layer and gallops from the bucket centre.
-Each builds one :class:`~espc.search.SearchOutcome`.  :func:`evaluate_rank_many`
-runs the flat lookup on many queries in lockstep.
+The two-layer lookup runs it on its top layer, whose bucket number fixes the rank to
+a range of at most ceil(n/K) - 1 unknown keys, and bisects one perfect bracket that
+covers that range.  Each builds one :class:`~espc.search.SearchOutcome`.
+:func:`evaluate_rank_many` runs the flat lookup on many queries in lockstep.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     InvalidPolicyParams,
     OutOfRange,
 )
-from .search import SearchOutcome, _gallop, exponential_search_many
+from .search import SearchOutcome, _bisect, _gallop, exponential_search_many
 
 MAGIC = b"ESPC2"
 SLOT_BYTES = 4
@@ -473,13 +475,14 @@ def choose_k(policy: SizingPolicy, n: int) -> int:
 class HierIndex:
     """Two-layer index: quantile bucket boundaries plus a top-level index.
 
-    The bottom layer cuts the array into ``K`` buckets of (approximately)
-    equal occupancy at empirical quantiles; the top layer is an
-    equal-split index over the bucket boundaries and resolves which bucket
-    a query falls in.  Bucket rank estimates are implicit (bucket k is
-    centred at (k - 1/2) * n / K), so only the boundaries and the top
-    index occupy space.  Instances pickle and deep-copy as their fields,
-    without their record.  A ``top`` not built over ``boundaries`` raises IndexMismatch.
+    The bottom layer cuts the array into ``K`` buckets of equal occupancy, up to one
+    key, at the positions p_i = ceil(i*n/K): bucket b holds the ranks p_{b-1} + 1 to
+    p_b.  The top layer is an equal-split index over the bucket boundaries
+    keys[p_0], ..., keys[p_{K-1}] and resolves which bucket a query falls in.  The
+    T = bit_length(ceil(n/K) - 1) probes that finish a lookup are fixed by n and K,
+    so only the boundaries and the top index occupy space.  Instances pickle and
+    deep-copy as their fields, without their record.  A ``top`` not built over
+    ``boundaries`` raises IndexMismatch.
     """
 
     boundaries: KeyArray
@@ -492,12 +495,19 @@ class HierIndex:
 
     def __post_init__(self):
         # The record evaluate_rank_hier reads, derived so not a field: (view, top, last, K,
-        # n, x_first) of the boundaries, the top layer's record and the keys.
+        # n, x_first, p_{K-1}, T, S) of the boundaries, the top layer's record and the keys,
+        # where S = 2^T - 1 is the least perfect bracket that holds a bucket's
+        # ceil(n/K) - 1 unknown positions.
         view, k, _, last, first_f, last_f = self.boundaries._probe
         top = self.top
         if top.n != k or top.x_first != first_f or top.x_last != last_f:
             raise _mismatch(top.n, self.boundaries)
-        object.__setattr__(self, "_record", (view, top._record, last, k, self.n, first_f))
+        if k > self.n:
+            raise InvalidK(f"{k} buckets cannot split {self.n} keys")
+        depth = (-(-self.n // k) - 1).bit_length()
+        object.__setattr__(self, "_record", (view, top._record, last, k, self.n, first_f,
+                                             ((k - 1) * self.n + k - 1) // k, depth,
+                                             (1 << depth) - 1))
 
     def __reduce__(self):
         return HierIndex, (self.boundaries, self.top, self.n)
@@ -506,8 +516,9 @@ class HierIndex:
 def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
     """Build the two-layer variant with ``k`` buckets and ``k_top`` top intervals.
 
-    Bucket boundaries are the empirical quantiles keys[ceil(i*n/k)],
-    i = 0..k-1, so the first boundary is the minimum key.
+    Bucket boundaries are the empirical quantiles keys[p_i], p_i = ceil(i*n/k) for
+    i = 0..k-1, computed in exact integers as :func:`evaluate_rank_hier` computes them,
+    so the first boundary is the minimum key.
 
     Raises:
         InvalidK: k outside [1, n], or k_top refused by :func:`build_espc`.
@@ -515,7 +526,7 @@ def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
     n = A.n
     if not 1 <= k <= n:
         raise InvalidK(f"bucket count must be in [1, {n}], got {k}")
-    positions = np.minimum(np.ceil(np.arange(k) * n / k).astype(np.int64), n - 1)
+    positions = (np.arange(k, dtype=np.int64) * n + (k - 1)) // k  # at most n - 1, as k <= n
     boundary_keys = A.keys[positions]  # a fancy index returns a fresh array
     boundary_keys.setflags(write=False)
     boundaries = KeyArray(keys=boundary_keys, mode=A.mode)
@@ -526,20 +537,25 @@ def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
 def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
     """Exact rank of ``q`` through both layers of the two-layer index.
 
-    The top index finds the bucket (the exact rank of q among the
-    boundaries), the bucket centre seeds an exponential search over the
-    full array, and the reported comparisons are the sum of both layers.
+    The top index finds the bucket b, the exact rank of q among the boundaries, which
+    puts the rank in [p_{b-1} + 1, p_b].  ``bisect.bisect_right`` then bisects the
+    perfect bracket of S = 2^T - 1 positions from p_{b-1} + 1 (:class:`HierIndex`),
+    which costs T probes.  A bracket that would pass n ends at n, and is counted as
+    the perfect tree it is part of, whose positions past n hold no key at or below q.
+    At T = 0 the rank is p_{b-1} + 1 with no probe.  Where S > n, which only K = 1
+    reaches, the reference :func:`espc.search._bisect` searches all keys.  The reported
+    comparisons are the sum of both layers.
 
     Raises:
-        IndexMismatch: index was built over an array of other length or first
-            key, or its top layer over other boundaries.
+        IndexMismatch: index was built over an array of other length, first key or
+            key at p_{K-1}, the last boundary.
         OutOfRange: q is NaN.
     """
-    view, top, last, k, built_n, first_f = h._record
+    view, top, last, k, built_n, first_f, last_at, depth, span = h._record
     keys, n, lo, hi, lo_f, _ = A._probe
     if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
         q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
-    if built_n != n or first_f != lo_f:
+    if built_n != n or first_f != lo_f or keys[last_at] != last:  # the bracket trusts them
         raise _mismatch(built_n, A)
     if not lo <= q <= hi:
         if q < lo:
@@ -549,8 +565,15 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
         raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
     # The top layer counts its own two range checks; q >= boundaries[0] == x_min.
     bucket, comparisons = (k, 4) if q > last else _lookup(top, view, q, 4)
-    start = math.ceil((bucket - 0.5) * n / k)  # at most n, as bucket <= K
-    return tuple.__new__(SearchOutcome, _gallop(keys, start, q, comparisons))
+    first = 1 - (1 - bucket) * n // k  # p_{b-1} + 1 = 1 + ceil((b - 1) * n / K)
+    if not depth:
+        return tuple.__new__(SearchOutcome, (first, comparisons))
+    end = first + span
+    if end > n:
+        if span > n:
+            return tuple.__new__(SearchOutcome, _bisect(keys, 0, n, q, comparisons))
+        end = n
+    return tuple.__new__(SearchOutcome, (bisect_right(keys, q, first, end), comparisons + depth))
 
 
 # --- serialization ----------------------------------------------------------

@@ -287,6 +287,17 @@ class TestBench:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("field", ["output", "rho_method"])
+    def test_config_refuses_a_number_for_a_string(self, tmp_path, capsys, monkeypatch, field):
+        monkeypatch.chdir(tmp_path)  # where an output named "5" would land
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": {"kind": "uniform", "n": 1000},
+                                        "k_grid": [10], "queries": 10, field: 5}))
+        code, out, err = _run(capsys, ["bench", "--config", str(cfg_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --config {cfg_path}: 5 is not a JSON str")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_check_failure_exits_two(self, capsys, monkeypatch):
         from espc.bench import BenchRecord
         from espc import cli as cli_mod
@@ -405,6 +416,11 @@ def _text_sigma(tmp_path):
     return argv, "sigma"
 
 
+def _unread_generate_param(tmp_path):
+    argv = ["generate", "--kind", "uniform", "--n", "10", "--mu", "1", "--out", str(tmp_path / "g")]
+    return argv, "'mu'"
+
+
 def _negative_seed(verb):
     def argv(tmp_path):
         tail = {
@@ -462,6 +478,8 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
         _bad_config(json.dumps({"dataset": _UNIFORM, "rescale": "false", "queries": 10})),
         _bad_config(json.dumps({"dataset": ["uniform"], "queries": 10})),
         _bad_config(json.dumps({"dataset": {"kind": "normal", "params": [1.0]}, "queries": 10})),
+        _bad_config(json.dumps({"dataset": {"kind": "normal", "params": {"mean": 1.0}}})),
+        _unread_generate_param,
         _truncated_gz,
         _negative_seed("bench"),
         _negative_seed("generate"),
@@ -479,7 +497,8 @@ _UNIFORM = {"kind": "uniform", "n": 1_000}
     ],
     ids=["k_grid_flag", "not_json", "not_object", "text_n", "text_k_grid", "text_n_sub",
          "fraction_k_grid", "fraction_queries", "fraction_n", "fraction_n_sub", "bool_seed",
-         "text_rescale", "dataset_not_object", "params_not_object",
+         "text_rescale", "dataset_not_object", "params_not_object", "unknown_param_config",
+         "unknown_param_generate",
          "truncated_gz", "negative_seed_bench", "negative_seed_generate",
          "text_sigma", "huge_k", "entropy_huge_k", "entropy_k_2_63", "entropy_k_underflow",
          "generate_huge_n", "rho_bins_past_int64", "rho_infinite_bins",

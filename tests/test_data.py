@@ -64,6 +64,16 @@ class TestGenerate:
             generate(DatasetSpec("file"))
 
     @pytest.mark.parametrize(
+        "kind, params, culprit",
+        [("uniform", {"mu": 1.0}, "'mu'"), ("beta22", {"sigma": 1.0}, "'sigma'"),
+         ("normal", {"mu": 0.0, "scale": 1.0}, "'scale'"), ("lognormal", {"path": "x"}, "'path'"),
+         ("file", {"path": "x", "sigma": 1.0}, "'sigma'")],
+    )
+    def test_params_the_kind_does_not_read_are_refused(self, kind, params, culprit):
+        with pytest.raises(InvalidParams, match=f"^unknown {kind} params \\[{culprit}\\]"):
+            DatasetSpec(kind, n=10, params=params)
+
+    @pytest.mark.parametrize(
         "kind, params",
         [("normal", {"sigma": float("nan")}), ("normal", {"sigma": float("inf")}),
          ("lognormal", {"sigma": 0.0}), ("lognormal", {"mu": float("nan")}),

@@ -517,11 +517,33 @@ class TestHierarchical:
             build_equal_probability(A, 2, 0)
 
     def test_evaluate_examples(self):
+        # Boundaries keys[0] and keys[5]: a bucket leaves ceil(10/2) - 1 = 4 unknown keys,
+        # a perfect bracket of 7 costs T = 3 probes after the two layers' 4 checks.
         A = validate_key_array(np.arange(10.0), FLOAT_MODE)
         h = build_equal_probability(A, 2, 1)
-        assert evaluate_rank_hier(h, A, -1.0).rank == 0
-        assert evaluate_rank_hier(h, A, 7.0).rank == 8
-        assert evaluate_rank_hier(h, A, 9.0).rank == 10
+        assert evaluate_rank_hier(h, A, -1.0) == (0, 1)
+        assert evaluate_rank(h.top, h.boundaries, 3.0) == (1, 4)
+        assert evaluate_rank_hier(h, A, 3.0) == (4, 4 + 2 + 3)
+        # Above the last boundary the bucket is K with no top lookup; the bracket
+        # [6, 13) ends at n = 10 and still counts 3.
+        assert evaluate_rank_hier(h, A, 7.0) == (8, 4 + 3)
+        assert evaluate_rank_hier(h, A, 9.0) == (10, 4 + 3)
+
+    def test_one_key_a_bucket_costs_only_the_top_layer(self):
+        A = validate_key_array([0, 1, 1, 1, 2, 5, 5, 8], INT_MODE)
+        h = build_equal_probability(A, A.n, 3)  # K = n, T = 0: the bucket is the rank
+        for q in range(9):
+            top = evaluate_rank(h.top, h.boundaries, q).comparisons
+            assert evaluate_rank_hier(h, A, q) == (rank_bruteforce(A, q), top + 2)
+
+    def test_one_bucket_bisects_all_keys(self):
+        # K = 1: T = bit_length(9) = 4, and a bracket of 15 is longer than n = 10.
+        A = validate_key_array(np.arange(10.0), FLOAT_MODE)
+        h = build_equal_probability(A, 1, 1)
+        for q in (0.0, 3.5, 6.5, 9.0):
+            top = evaluate_rank(h.top, h.boundaries, q).comparisons
+            want = binary_search_rank(A, q)
+            assert evaluate_rank_hier(h, A, q) == (want.rank, top + 2 + want.comparisons)
 
     def test_exactness_matches_oracle(self):
         rng = np.random.default_rng(28)
@@ -547,10 +569,15 @@ class TestHierarchical:
         C = validate_key_array(np.arange(1.0, 11.0), FLOAT_MODE)  # same n, other first key
         with pytest.raises(IndexMismatch):
             evaluate_rank_hier(h, C, 5.0)
+        D = validate_key_array(np.r_[0.0, 20.0:29.0], FLOAT_MODE)  # other last boundary keys[5]
+        with pytest.raises(IndexMismatch):
+            evaluate_rank_hier(h, D, 21.0)
         other = build_equal_probability(validate_key_array(np.arange(20.0), FLOAT_MODE), 2, 1)
         for top in (other.top, build_espc(B, 1)):  # other last boundary, other bucket count
             with pytest.raises(IndexMismatch):  # refused when made, not on each lookup
                 HierIndex(boundaries=h.boundaries, top=top, n=h.n)
+        with pytest.raises(InvalidK):  # more buckets than keys
+            HierIndex(boundaries=h.boundaries, top=h.top, n=1)
 
 
 class TestSerialization:

@@ -198,9 +198,10 @@ def _composition_holds(A, idx, h, queries):
     """Inside the keys, each lookup is the public functions it is made of, counts summed.
 
     Flat: its two endpoint checks and exponential_search from ceil(predict), where
-    predict is the batched estimate.  Two-layer: its two endpoint checks, the flat
-    lookup on the top layer over the boundaries, and exponential_search from the
-    bucket centre.  Either index may be None (not buildable).
+    predict is the batched estimate.  Two-layer: the oracle's rank, at the cost of its
+    two endpoint checks, the flat lookup on the top layer over the boundaries, and
+    T = bit_length(ceil(n/K) - 1) probes, or binary_search_rank's count where the
+    perfect bracket 2^T - 1 is longer than n.  Either index may be None (not buildable).
     """
     for q in _inside(A, queries):
         if idx is not None:
@@ -209,10 +210,10 @@ def _composition_holds(A, idx, h, queries):
             rank, cost = exponential_search(A, math.ceil(estimate), q)
             assert evaluate_rank(idx, A, q) == (rank, 2 + cost)
         if h is not None:
-            bucket, top_cost = evaluate_rank(h.top, h.boundaries, q)
-            centre = min(math.ceil((bucket - 0.5) * A.n / h.K), A.n)
-            rank, cost = exponential_search(A, centre, q)
-            assert evaluate_rank_hier(h, A, q) == (rank, top_cost + 2 + cost)
+            depth = (-(-A.n // h.K) - 1).bit_length()
+            cost = binary_search_rank(A, q).comparisons if 2**depth - 1 > A.n else depth
+            top_cost = evaluate_rank(h.top, h.boundaries, q).comparisons
+            assert evaluate_rank_hier(h, A, q) == (rank_bruteforce(A, q), top_cost + 2 + cost)
 
 
 @given(arrays_and_queries(), st.integers(1, 80), st.integers(1, 20))

@@ -18,7 +18,7 @@ from espc.errors import (
     OutOfRange,
     SupportViolation,
 )
-from espc.index import CELL_LIMIT
+from espc.index import CELL_LIMIT, _cell_counts
 from espc.stats import (
     HISTOGRAM,
     KERNEL,
@@ -191,6 +191,17 @@ class TestHistogramDensity:
         A = validate_key_array([0.1, 0.3, 0.6, 0.8], FLOAT_MODE)
         dens = histogram_density(A, 0.5)
         np.testing.assert_allclose(dens.heights, [1.5, 0.5])
+
+    def test_counts_that_cannot_be_allocated_are_refused(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "bincount", no_memory)  # the count of a small array
+        A = validate_key_array([0.1, 0.3, 0.6, 0.8], FLOAT_MODE)
+        with pytest.raises(InvalidK, match="^cannot allocate 2 interval slots"):
+            _cell_counts(A.keys, 0.1, 0.8, 2)
+        with pytest.raises(InvalidWidth, match="cannot allocate 2 interval slots"):
+            histogram_density(A, 0.5)
 
     def test_single_bin(self):
         A = validate_key_array([0.0, 1.0], FLOAT_MODE)
