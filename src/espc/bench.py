@@ -11,15 +11,16 @@ given config.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .core import FLOAT_MODE, KeyArray, exact_ranks, validate_key_array
+from .core import FLOAT_MODE, KeyArray, _integer, exact_ranks, validate_key_array
 from .data import DatasetSpec, FILE, generate, rescale_unit, subsample
-from .errors import InvalidParams
+from .errors import InvalidK, InvalidParams
 from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, evaluate_rank_many, predict_many
 from .index import _build, _choose_shift
 from .stats import HISTOGRAM, error_bound_query_dist, error_bound_rho, estimate_rho
@@ -38,6 +39,8 @@ class BenchConfig:
     the full-size subsample, query count, and K grid.  When
     ``query_dist`` is set the workload is drawn from that distribution
     instead of from the keys, and the bound uses both density norms.
+    A ``k_grid`` entry that is not an integer >= 1 raises InvalidK, and any other
+    integer out of its range, or a grid that is empty or not ascending, InvalidParams.
     """
 
     dataset: DatasetSpec
@@ -51,17 +54,13 @@ class BenchConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.n_sub < 0:
-            raise InvalidParams(f"n_sub must be non-negative (0 keeps every key), got {self.n_sub}")
-        if not self.k_grid:
-            raise InvalidParams("k_grid must not be empty")
-        if list(self.k_grid) != sorted(self.k_grid):
-            raise InvalidParams("k_grid must be ascending")
+        _integer(self.n_sub, 0, math.inf, InvalidParams, "n_sub")
+        grid = [_integer(k, 1, math.inf, InvalidK, "k_grid entry") for k in self.k_grid or ()]
+        if not grid or grid != sorted(grid):
+            raise InvalidParams(f"k_grid must be non-empty and ascending, got {self.k_grid!r}")
         least = 1 if self.query_dist is None else 4  # rho_queries is fitted to the queries
-        if self.queries < least:
-            raise InvalidParams(f"need {least}+ queries (4 with a query_dist), got {self.queries}")
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        _integer(self.queries, least, math.inf, InvalidParams, "queries")
+        _integer(self.seed, 0, math.inf, InvalidParams, "seed")
 
     def paper_scale(self) -> "BenchConfig":
         """Full-scale variant: n=1e7 subsample, Q=3e7, the six-point K grid."""

@@ -168,11 +168,22 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
 
 
 def _float(q) -> float:
-    """``q`` as float keys read it, as numpy does: float(q), an int past float64 an infinity."""
+    """``q`` as float keys read it, as numpy does: float(q), an int past float64 an infinity.
+    A ``q`` that float() refuses, such as None, ``1j`` or ``"x"``, raises InvalidParams."""
     try:
         return float(q)
     except OverflowError:
         return math.inf if q > 0 else -math.inf
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"query {q!r} is not a number") from exc
+
+
+def _integer(value, least: int, most, error: type, what: str) -> int:
+    """``int(value)`` for a Python or numpy integer, not a bool, in [least, most] (``most``
+    may be ``math.inf``); else ``error``, "<what> must be an integer in [...], got <value>"."""
+    if isinstance(value, (int, np.integer)) and type(value) is not bool and least <= value <= most:
+        return int(value)
+    raise error(f"{what} must be an integer in [{least}, {most}], got {value!r}")
 
 
 def exact_ranks(A: KeyArray, queries) -> np.ndarray:

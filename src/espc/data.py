@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import FLOAT_MODE, INT_MODE, KeyArray, _validated, validate_key_array
+from .core import FLOAT_MODE, INT_MODE, KeyArray, _integer, _validated, validate_key_array
 from .errors import (
     CountMismatch,
     DegenerateRange,
@@ -48,8 +48,8 @@ class DatasetSpec:
     ``sigma``); ``beta22`` (the symmetric Beta(2, 2) hump on [0, 1]);
     ``lognormal`` (params ``mu``, ``sigma``; a heavy-tailed stand-in for
     hard real-world key sets).  Kind ``file`` reads params["path"]
-    (params["mode"] selects int64/float64 payloads).  A negative seed, or a
-    param that the kind does not read, raises InvalidParams.
+    (params["mode"] selects int64/float64 payloads).  A seed that is not an integer
+    >= 0, or a param that the kind does not read, raises InvalidParams.
     """
 
     kind: str
@@ -58,8 +58,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        _integer(self.seed, 0, math.inf, InvalidParams, "seed")
         allowed = _PARAMS.get(self.kind, self.params)  # generate refuses an unknown kind
         unknown = sorted(set(self.params) - set(allowed))
         if unknown:
@@ -74,7 +73,7 @@ def generate(spec: DatasetSpec) -> KeyArray:
     mode; files keep the mode they are read with.
 
     Raises:
-        InvalidParams: unknown kind, n < 1, bad distribution params, n draws
+        InvalidParams: unknown kind, n not an integer >= 1, bad distribution params, n draws
             that cannot be allocated, or normal or lognormal draws that overflow.
     """
     if spec.kind == FILE:
@@ -84,8 +83,7 @@ def generate(spec: DatasetSpec) -> KeyArray:
         return read_sosd(path, mode=str(spec.params.get("mode", INT_MODE)))
     if spec.kind not in SYNTHETIC_KINDS:
         raise InvalidParams(f"unknown dataset kind {spec.kind!r}")
-    if spec.n < 1:
-        raise InvalidParams(f"need n >= 1, got {spec.n}")
+    _integer(spec.n, 1, math.inf, InvalidParams, "key count n")
     rng = np.random.default_rng(spec.seed)
     if spec.kind == UNIFORM:
         draw = rng.random
@@ -192,12 +190,12 @@ def subsample(A: KeyArray, m: int, seed: int = 0) -> KeyArray:
     their order in ``A``.
 
     Raises:
-        InvalidM: m outside [1, n].
+        InvalidM: m is not an integer in [1, n].
+        InvalidParams: seed is not an integer >= 0.
     """
     n = A.n
-    if not 1 <= m <= n:
-        raise InvalidM(f"subsample size must be in [1, {n}], got {m}")
-    rng = np.random.default_rng(seed)
+    m = _integer(m, 1, n, InvalidM, "subsample size")
+    rng = np.random.default_rng(_integer(seed, 0, math.inf, InvalidParams, "seed"))
     p = (m + 4.0 * math.sqrt(m) + 10.0) / n  # under m positions in at most ~3e-5 of draws
     positions = np.arange(n) if p >= 1.0 else _bernoulli_positions(rng, n, p, m)
     surplus = len(positions) - m

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray, _float, key_queries
+from .core import KeyArray, _float, _integer, key_queries
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -83,10 +83,10 @@ class EspcIndex:
     A value x lies in interval ``clip(ceil(g(x)/delta), 1, K)``, where g is
     ``x - x_first`` when ``shift`` is None, and otherwise
     ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
-    scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields;
-    a ``t`` that is not a 1-D uint32 array raises InvalidParams, an empty one
-    InvalidK.  Instances are immutable and safe for concurrent lookups.  They
-    pickle and deep-copy as their fields, and the copy derives its record again.
+    scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields; a ``t``
+    that is not a 1-D uint32 array, or an ``n`` not an integer in [1, MAX_KEYS], raises
+    InvalidParams, an empty ``t`` InvalidK.  Instances are immutable and safe for concurrent
+    lookups.  They pickle and deep-copy as their fields, and the copy derives its record again.
     """
 
     x_first: float
@@ -104,9 +104,8 @@ class EspcIndex:
         if not (isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.uint32):
             got = f"{t.ndim}-D {t.dtype}" if isinstance(t, np.ndarray) else type(t).__name__
             raise InvalidParams(f"slots t must be a 1-D uint32 array, got {got}")
-        k = len(t)
-        if not k:
-            raise InvalidK("an index needs at least one interval")
+        _integer(self.n, 1, MAX_KEYS, InvalidParams, "key count n")
+        k = _integer(len(t), 1, math.inf, InvalidK, "interval count len(t)")
         delta = _span(self.x_first, self.x_last, self.shift) / k  # as _cell_counts divides
         base = None if self.shift is None else _bits(self.x_first - self.shift)
         slots = memoryview(t).toreadonly()
@@ -212,8 +211,7 @@ def _cell_counts(
     for more than max(:data:`CELL_LIMIT`, n) cells before allocating any.
     """
     n = len(keys)
-    if not 1 <= k <= max(CELL_LIMIT, n):  # K = n always fits: 12 bytes a cell beside 8 a key
-        raise InvalidK(f"interval count must be in [1, {max(CELL_LIMIT, n)}], got {k}")
+    k = _integer(k, 1, max(CELL_LIMIT, n), InvalidK, "interval count")  # K = n always fits
     if lo == hi:
         return np.array([n])
     step = _span(lo, hi, shift) / k
@@ -284,8 +282,7 @@ def _build(A: KeyArray, k: int, shift: float | None) -> EspcIndex:
 
     A caller that builds many K over the same keys chooses the scale once.
     """
-    if A.n > MAX_KEYS:
-        raise InvalidParams(f"an index holds at most {MAX_KEYS} keys, got {A.n}")
+    _integer(A.n, 1, MAX_KEYS, InvalidParams, "key count n")
     x_first, x_last = float(A.keys[0]), float(A.keys[-1])
     counts = _cell_counts(A.keys, x_first, x_last, k, shift)
     c = np.add.accumulate(counts, out=counts)  # np.cumsum without its dispatch cost
@@ -325,6 +322,10 @@ def predict(idx: EspcIndex, q) -> float:
 def predict_many(idx: EspcIndex, values) -> np.ndarray:
     """Vectorized :func:`predict` over an array of query values.
 
+    The slot read is ``ceil(g(v)/delta - 1)`` clipped to [0, K - 1]: :func:`assign_intervals`'
+    rule, as the subtraction is exact for g(v)/delta in [1, 2^53] and below 1 both are at
+    most 0.  Values outside the keys, if any, are clamped first, then set to 0 or n.
+
     Raises:
         OutOfRange: a value is NaN.
         InvalidParams: a value that numpy cannot hold as a float64, such as ``10**400``.
@@ -339,29 +340,17 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
     lo, hi = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
     if not lo <= hi:  # NaN propagates through both
         raise OutOfRange("NaN query has no rank")
-    out = np.multiply(_slots(idx, v, lo, hi), 0.5, out=np.empty(v.shape))
-    if lo < idx.x_first:
-        out[v < idx.x_first] = 0.0
+    _, _, x_first, delta, shift, _ = idx._record  # one point's delta is inf: every y is -1
+    outside = lo < x_first or hi > idx.x_last
+    y = _scaled(v.clip(x_first, idx.x_last) if outside else v, x_first, delta, shift)
+    y -= 1.0
+    np.ceil(y, out=y)
+    out = np.multiply(idx.t.take(y.astype(np.intp), mode="clip"), 0.5, out=y)
+    if lo < x_first:
+        out[v < x_first] = 0.0
     if hi > idx.x_last:
         out[v > idx.x_last] = float(idx.n)
     return out
-
-
-def _slots(idx: EspcIndex, v: np.ndarray, lo, hi) -> np.ndarray:
-    """The slots t of the cells holding the float64 values ``v``, lo and hi their least and most.
-
-    Values outside the keys take the end cells.  The cell's position k - 1 is computed as
-    ``ceil(g(v)/delta - 1)``: the subtraction is exact for g(v)/delta in [1, 2^53], and
-    below 1 both forms are at most 0, so clipping to [0, K - 1] in ``take`` gives the rule.
-    Values are clamped to the keys only when some lie outside; inside, nothing overflows.
-    """
-    _, _, x_first, delta, shift, _ = idx._record  # one point's delta is inf: every y is -1
-    if lo < x_first or hi > idx.x_last:
-        v = v.clip(x_first, idx.x_last)
-    y = _scaled(v, x_first, delta, shift)
-    y -= 1.0
-    np.ceil(y, out=y)
-    return idx.t.take(y.astype(np.intp), mode="clip")
 
 
 def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
@@ -423,9 +412,8 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     comparisons = np.where(under, 1, 2)
     inside = np.flatnonzero(~(under | over))
     if inside.size:  # locate with the query's own value and start at ceil(t/2), as _lookup does
-        v = raw[inside].astype(np.float64, copy=False)
-        t = _slots(idx, v, np.minimum.reduce(v), np.maximum.reduce(v))
-        found, cost = exponential_search_many(A, t - (t >> 1), q[inside])
+        starts = np.ceil(predict_many(idx, raw[inside])).astype(np.int64)
+        found, cost = exponential_search_many(A, starts, q[inside])
         ranks[inside] = found
         comparisons[inside] += cost
     return ranks, comparisons
@@ -459,10 +447,9 @@ def choose_k(policy: SizingPolicy, n: int) -> int:
     """Interval count prescribed by ``policy`` for an n-key array.
 
     Raises:
-        InvalidPolicyParams: n < 2.
+        InvalidPolicyParams: n is not an integer >= 2.
     """
-    if n < 2:
-        raise InvalidPolicyParams(f"sizing needs n >= 2, got {n}")
+    n = _integer(n, 2, math.inf, InvalidPolicyParams, "key count n")
     if policy.kind == LINEAR:
         return n
     return math.ceil(n / math.log2(n))
@@ -482,7 +469,7 @@ class HierIndex:
     T = bit_length(ceil(n/K) - 1) probes that finish a lookup are fixed by n and K,
     so only the boundaries and the top index occupy space.  Instances pickle and
     deep-copy as their fields, without their record.  A ``top`` not built over
-    ``boundaries`` raises IndexMismatch.
+    ``boundaries`` raises IndexMismatch, an ``n`` that is not an integer >= K InvalidK.
     """
 
     boundaries: KeyArray
@@ -502,12 +489,10 @@ class HierIndex:
         top = self.top
         if top.n != k or top.x_first != first_f or top.x_last != last_f:
             raise _mismatch(top.n, self.boundaries)
-        if k > self.n:
-            raise InvalidK(f"{k} buckets cannot split {self.n} keys")
-        depth = (-(-self.n // k) - 1).bit_length()
-        object.__setattr__(self, "_record", (view, top._record, last, k, self.n, first_f,
-                                             ((k - 1) * self.n + k - 1) // k, depth,
-                                             (1 << depth) - 1))
+        n = _integer(self.n, k, math.inf, InvalidK, f"key count n for {k} buckets")
+        depth = (-(-n // k) - 1).bit_length()
+        object.__setattr__(self, "_record", (view, top._record, last, k, n, first_f,
+                                             ((k - 1) * n + k - 1) // k, depth, (1 << depth) - 1))
 
     def __reduce__(self):
         return HierIndex, (self.boundaries, self.top, self.n)
@@ -524,8 +509,7 @@ def build_equal_probability(A: KeyArray, k: int, k_top: int) -> HierIndex:
         InvalidK: k outside [1, n], or k_top refused by :func:`build_espc`.
     """
     n = A.n
-    if not 1 <= k <= n:
-        raise InvalidK(f"bucket count must be in [1, {n}], got {k}")
+    k = _integer(k, 1, n, InvalidK, "bucket count")
     positions = (np.arange(k, dtype=np.int64) * n + (k - 1)) // k  # at most n - 1, as k <= n
     boundary_keys = A.keys[positions]  # a fancy index returns a fresh array
     boundary_keys.setflags(write=False)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import KeyArray, Rank, _float
+from .core import KeyArray, Rank, _float, _integer
 from .errors import InvalidParams, StartOutOfRange
 
 
@@ -55,9 +55,10 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     the search cheap regardless of n.  The search itself is :func:`_gallop`.
 
     Raises:
-        StartOutOfRange: ``i`` outside [0, n].
+        StartOutOfRange: ``i`` is not an integer in [0, n].
     """
-    keys, _, lo = A._probe[:3]
+    keys, n, lo = A._probe[:3]
+    i = _integer(i, 0, n, StartOutOfRange, "start")
     if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
         q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
     return tuple.__new__(SearchOutcome, _gallop(keys, i, q, 0))
@@ -133,18 +134,19 @@ def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.nda
         (ranks, comparisons): two int64 arrays, one entry per query.
 
     Raises:
-        StartOutOfRange: a start outside [0, n].
+        StartOutOfRange: the starts are not an integer array, or one lies outside [0, n].
         InvalidParams: integer keys given queries that are not unsigned integers.
     """
-    keys = A.keys
-    n = len(keys)
-    i = np.asarray(starts, dtype=np.int64)
+    keys, n = A.keys, A.n
+    i = np.asarray(starts)
+    if i.size and not (i.dtype.kind in "iu" and i.min() >= 0 and i.max() <= n):  # [] is float
+        got = f"[{i.min()}, {i.max()}]" if i.dtype.kind in "iu" else f"{i.dtype} starts"
+        raise StartOutOfRange(f"starts must be an integer array in [0, {n}], got {got}")
+    i = i.astype(np.int64, copy=False)
     q = np.asarray(qs)
     if not np.can_cast(q.dtype, keys.dtype):
         raise InvalidParams(f"{q.dtype} queries do not compare exactly with {keys.dtype} keys")
     q = q.astype(keys.dtype, copy=False)
-    if i.size and not (i.min() >= 0 and i.max() <= n):
-        raise StartOutOfRange(f"starts in [{i.min()}, {i.max()}] outside [0, {n}]")
 
     probed = i < n
     comparisons = probed.astype(np.int64)

@@ -12,12 +12,13 @@ bounds, and the rho estimator.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray
+from .core import KeyArray, _integer
 from .errors import (
     DegenerateIQR,
     DegenerateIqrWarning,
@@ -78,30 +79,44 @@ def renyi_entropy_2(profile: PartitionProfile, base: float | None = None) -> flo
     """Order-2 Renyi entropy -log(sum p_k^2), in nats by default.
 
     Maximized (= log K) by the uniform profile; zero for a point mass.
-    Pass ``base=2`` for bits.
+    Pass ``base=2`` for bits; a base that :func:`_log` refuses raises InvalidParams.
     """
-    h = -math.log(profile.collision_probability)
-    if base is not None:
-        h /= math.log(base)
-    return h
+    return -_log(profile.collision_probability, base)
+
+
+def _log(x: float, base) -> float:
+    """log(x) in ``base``, natural for None; InvalidParams unless 0 < base < inf, base != 1."""
+    if base is None:
+        return math.log(x)
+    if not (isinstance(base, numbers.Real) and 0 < base < math.inf and base != 1):
+        raise InvalidParams(f"log base must be a finite number > 0 other than 1, got {base!r}")
+    return math.log(x) / math.log(base)
 
 
 def error_bound_partition(n: int, profile: PartitionProfile) -> float:
-    """Expected-error bound (3n/2) * sum(p_k^2) from the cell profile."""
-    if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+    """Expected-error bound (3n/2) * sum(p_k^2) from the cell profile, for an integer n >= 1."""
+    n = _integer(n, 1, math.inf, InvalidParams, "key count n")
     return 1.5 * n * profile.collision_probability
 
 
 def error_bound_rho(n: int, k: int, a: float, b: float, rho: float) -> float:
-    """Expected-error bound (3(b-a)/2) * rho * n / K from the density norm."""
-    if k < 1:
-        raise InvalidK(f"cell count must be >= 1, got {k}")
-    if rho < 0:
-        raise InvalidParams(f"rho must be non-negative, got {rho}")
+    """Expected-error bound (3(b-a)/2) * rho * n / K from the density norm.
+
+    An n or k that is not an integer >= 1 raises InvalidParams or InvalidK, and a rho
+    that is not a number >= 0, or b <= a, InvalidParams.
+    """
+    n = _integer(n, 1, math.inf, InvalidParams, "key count n")
+    k = _integer(k, 1, math.inf, InvalidK, "cell count")
     if not b > a:
         raise InvalidParams(f"need b > a, got [{a}, {b}]")
-    return 1.5 * (b - a) * rho * n / k
+    return 1.5 * (b - a) * _norm(rho) * n / k
+
+
+def _norm(rho):
+    """``rho`` if it is a real number >= 0, else InvalidParams; NaN is not."""
+    if not (isinstance(rho, numbers.Real) and rho >= 0):
+        raise InvalidParams(f"rho must be a number >= 0, got {rho!r}")
+    return rho
 
 
 def error_bound_query_dist(
@@ -110,11 +125,9 @@ def error_bound_query_dist(
     """Expected-error bound when queries follow their own density.
 
     Replaces rho with sqrt(rho_keys * rho_queries); reduces to
-    :func:`error_bound_rho` when the two coincide.
+    :func:`error_bound_rho` when the two coincide, and refuses either rho as it does.
     """
-    if rho_queries < 0:
-        raise InvalidParams(f"query rho must be non-negative, got {rho_queries}")
-    return error_bound_rho(n, k, a, b, math.sqrt(rho_keys * rho_queries))
+    return error_bound_rho(n, k, a, b, math.sqrt(_norm(rho_keys) * _norm(rho_queries)))
 
 
 def log_error_entropy_bound(
@@ -122,15 +135,11 @@ def log_error_entropy_bound(
 ) -> float:
     """Bound on E[log error]: log(3n/2) minus the order-2 entropy.
 
-    Uses the same log base as :func:`renyi_entropy_2` (natural by
-    default).
+    Uses the same log base as :func:`renyi_entropy_2` (natural by default), and an
+    integer n >= 1.
     """
-    if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
-    log_scale = math.log(1.5 * n)
-    if base is not None:
-        log_scale /= math.log(base)
-    return log_scale - renyi_entropy_2(profile, base=base)
+    n = _integer(n, 1, math.inf, InvalidParams, "key count n")
+    return _log(1.5 * n, base) - renyi_entropy_2(profile, base=base)
 
 
 # --- density estimation ------------------------------------------------------
@@ -147,9 +156,7 @@ def fd_bin_width(A: KeyArray) -> float:
         InvalidParams: n < 4.
         DegenerateIQR: all keys equal, so no usable width exists.
     """
-    n = A.n
-    if n < 4:
-        raise InvalidParams(f"bin-width rule needs n >= 4, got {n}")
+    n = _integer(A.n, 4, math.inf, InvalidParams, "key count n for the bin-width rule")
     q25, q75 = (_sorted_quantile(A.keys, q) for q in (0.25, 0.75))
     iqr = float(q75 - q25)
     if iqr > 0.0:
@@ -227,8 +234,8 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
             than :func:`espc.index.build_espc` admits as cells, cannot be allocated,
             or overflow the heights.
     """
-    if not (width > 0.0 and math.isfinite(width)):
-        raise InvalidWidth(f"bin width must be positive and finite, got {width}")
+    if not (isinstance(width, numbers.Real) and width > 0.0 and math.isfinite(width)):
+        raise InvalidWidth(f"bin width must be positive and finite, got {width!r}")
     lo, hi = float(A.keys[0]), float(A.keys[-1])
     bins = (hi - lo) / width
     if not bins < 2**63:  # also infinite: bin numbers are int64
@@ -265,14 +272,12 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
             offset, in bandwidths, overflows its square, or the heights' slopes
             between grid points overflow.
     """
-    n = A.n
-    if n < 2:
-        raise InvalidParams(f"kernel estimate needs n >= 2, got {n}")
+    n = _integer(A.n, 2, math.inf, InvalidParams, "key count n for a kernel estimate")
     vals = A.keys.astype(np.float64, copy=False)
     if bandwidth is None:
         bandwidth = 1.06 * float(np.std(vals, ddof=1)) * n ** (-0.2)
-    if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise InvalidParams(f"bandwidth must be positive and finite, got {bandwidth}")
+    if not (isinstance(bandwidth, numbers.Real) and bandwidth > 0.0 and math.isfinite(bandwidth)):
+        raise InvalidParams(f"bandwidth must be positive and finite, got {bandwidth!r}")
 
     pad = _KDE_TAIL_CUT * bandwidth
     lo, hi = float(vals[0]) - pad, float(vals[-1]) + pad

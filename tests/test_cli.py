@@ -262,7 +262,7 @@ class TestBench:
              "--k-grid", "16", "--queries", "100", "--out", str(csv_path)],
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: n_sub must be non-negative")
+        assert err.startswith("error: n_sub must be an integer in [0, inf]")
         assert not csv_path.exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):

@@ -1,0 +1,224 @@
+"""Every parameter that cannot be read raises a typed error.
+
+Integer parameters follow one rule (``espc.core._integer``): a Python or numpy
+integer, not a bool, in the parameter's range.  The table below holds one row
+for every integer parameter and field that ``espc`` exports; a guard walks the
+exports so that a new one cannot go unchecked.
+"""
+
+import dataclasses
+import inspect
+import math
+import re
+import typing
+
+import numpy as np
+import pytest
+
+import espc
+from espc.bench import CSV_COLUMNS, BenchConfig, run_error_experiment
+from espc.core import FLOAT_MODE, rank_bruteforce, validate_key_array
+from espc.data import DatasetSpec, generate, subsample
+from espc.errors import (
+    InvalidK,
+    InvalidM,
+    InvalidParams,
+    InvalidPolicyParams,
+    InvalidWidth,
+    StartOutOfRange,
+)
+from espc.index import (
+    MAX_KEYS,
+    EspcIndex,
+    HierIndex,
+    SizingPolicy,
+    build_equal_probability,
+    build_espc,
+    choose_k,
+    evaluate_rank,
+    evaluate_rank_hier,
+    locate_interval,
+    predict,
+    serialize_index,
+)
+from espc.search import binary_search_rank, exponential_search, exponential_search_many
+from espc.stats import (
+    KERNEL,
+    error_bound_partition,
+    error_bound_query_dist,
+    error_bound_rho,
+    estimate_rho,
+    histogram_density,
+    kde_density,
+    log_error_entropy_bound,
+    partition_probabilities,
+    renyi_entropy_2,
+)
+
+A = validate_key_array(np.linspace(0.0, 1.0, 50), FLOAT_MODE)
+PROFILE = partition_probabilities(A, 0.0, 1.0, 4)
+IDX = build_espc(A, 8)
+HIER = build_equal_probability(A, 5, 3)
+OUTPUT_RECORDS = {"BenchRecord", "SearchOutcome"}  # made by the package, never passed in
+
+
+def _bench(**fields) -> list:
+    """The bench rows' CSV cells, without the wall-clock columns."""
+    cfg = {"dataset": DatasetSpec("uniform", n=400), "n_sub": 300, "k_grid": (16,),
+           "queries": 64, **fields}
+    return [[str(getattr(r, c)) for c in CSV_COLUMNS if c not in ("build_ms", "query_ns")]
+            for r in run_error_experiment(BenchConfig(**cfg))]
+
+
+def _hier(h: HierIndex) -> tuple:
+    ranks = [evaluate_rank_hier(h, A, q) for q in A.keys[::3]]
+    return h.boundaries.keys.tobytes(), serialize_index(h.top), repr(ranks)
+
+
+# "<export>.<parameter>": (call with the value, typed error, an out-of-range value, a valid value)
+ROWS = {
+    "build_espc.k": (lambda v: serialize_index(build_espc(A, v)), InvalidK, 0, 7),
+    "build_equal_probability.k": (lambda v: _hier(build_equal_probability(A, v, 3)), InvalidK,
+                                  A.n + 1, 5),
+    "build_equal_probability.k_top": (lambda v: _hier(build_equal_probability(A, 5, v)),
+                                      InvalidK, 0, 3),
+    "choose_k.n": (lambda v: repr(choose_k(SizingPolicy("sublinear"), v)),
+                   InvalidPolicyParams, 1, 1000),
+    "subsample.m": (lambda v: subsample(A, v).keys.tobytes(), InvalidM, A.n + 1, 10),
+    "subsample.seed": (lambda v: subsample(A, 10, seed=v).keys.tobytes(), InvalidParams, -1, 3),
+    "exponential_search.i": (lambda v: repr(exponential_search(A, v, 0.5)), StartOutOfRange,
+                             A.n + 1, 10),
+    "partition_probabilities.k": (lambda v: partition_probabilities(A, 0.0, 1.0, v).p.tobytes(),
+                                  InvalidK, 0, 4),
+    "error_bound_partition.n": (lambda v: repr(error_bound_partition(v, PROFILE)),
+                                InvalidParams, 0, 50),
+    "error_bound_rho.n": (lambda v: repr(error_bound_rho(v, 4, 0.0, 1.0, 1.2)),
+                          InvalidParams, 0, 50),
+    "error_bound_rho.k": (lambda v: repr(error_bound_rho(50, v, 0.0, 1.0, 1.2)), InvalidK, 0, 4),
+    "error_bound_query_dist.n": (lambda v: repr(error_bound_query_dist(v, 4, 0.0, 1.0, 1.2, 2.0)),
+                                 InvalidParams, 0, 50),
+    "error_bound_query_dist.k": (lambda v: repr(error_bound_query_dist(50, v, 0.0, 1.0, 1.2, 2.0)),
+                                 InvalidK, 0, 4),
+    "log_error_entropy_bound.n": (lambda v: repr(log_error_entropy_bound(v, PROFILE)),
+                                  InvalidParams, 0, 50),
+    "DatasetSpec.n": (lambda v: generate(DatasetSpec("uniform", n=v)).keys.tobytes(),
+                      InvalidParams, 0, 20),
+    "DatasetSpec.seed": (lambda v: generate(DatasetSpec("uniform", n=20, seed=v)).keys.tobytes(),
+                         InvalidParams, -1, 2),
+    "BenchConfig.n_sub": (lambda v: _bench(n_sub=v), InvalidParams, -1, 300),
+    "BenchConfig.k_grid": (lambda v: _bench(k_grid=(v,)), InvalidK, 0, 16),  # each entry
+    "BenchConfig.queries": (lambda v: _bench(queries=v), InvalidParams, 0, 64),
+    "BenchConfig.seed": (lambda v: _bench(seed=v), InvalidParams, -1, 5),
+    "EspcIndex.n": (lambda v: serialize_index(EspcIndex(x_first=0.0, x_last=1.0, n=v,
+                                                        t=np.array([1, 3], dtype=np.uint32))),
+                    InvalidParams, MAX_KEYS + 1, 2),
+    "HierIndex.n": (lambda v: _hier(HierIndex(HIER.boundaries, HIER.top, v)), InvalidK,
+                    HIER.K - 1, A.n),
+}
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_integer_parameter_refuses_what_is_not_an_integer_in_range(row):
+    call, error, out_of_range, _ = ROWS[row]
+    for bad in (2.5, "3", None, True, out_of_range):
+        with pytest.raises(error, match=f"must be an integer in .*, got {re.escape(repr(bad))}$"):
+            call(bad)
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_integer_parameter_reads_numpy_integers_as_python_ints(row):
+    call, _, _, valid = ROWS[row]
+    expected = call(valid)
+    for kind in (np.int64, np.uint32):
+        assert call(kind(valid)) == expected
+
+
+def _integer_parameters() -> set:
+    found = set()
+    for name in dir(espc):
+        obj = getattr(espc, name)
+        if name.startswith("_") or name in OUTPUT_RECORDS:
+            continue
+        if not getattr(obj, "__module__", "").startswith("espc."):  # e.g. Rank, which is int
+            continue
+        if not (inspect.isfunction(obj) or dataclasses.is_dataclass(obj)):
+            continue
+        hints = typing.get_type_hints(obj)
+        hints.pop("return", None)
+        found |= {f"{name}.{p}" for p, hint in hints.items() if hint in (int, tuple[int, ...])}
+    return found
+
+
+def test_every_exported_integer_parameter_has_a_row():
+    found = _integer_parameters()
+    assert found >= {"build_espc.k", "BenchConfig.k_grid", "EspcIndex.n"}  # the walk sees them
+    assert found - set(ROWS) == set(), "add a row for each new integer parameter"
+    assert set(ROWS) - found == set(), "a row names no exported integer parameter"
+
+
+class TestScalarQueries:
+    CALLS = {
+        "evaluate_rank": lambda q: evaluate_rank(IDX, A, q),
+        "evaluate_rank_hier": lambda q: evaluate_rank_hier(HIER, A, q),
+        "binary_search_rank": lambda q: binary_search_rank(A, q),
+        "exponential_search": lambda q: exponential_search(A, 0, q),
+        "predict": lambda q: predict(IDX, q),
+        "locate_interval": lambda q: locate_interval(IDX, q),
+        "rank_bruteforce": lambda q: rank_bruteforce(A, q),
+    }
+
+    @pytest.mark.parametrize("path", sorted(CALLS))
+    def test_a_query_that_is_not_a_number_raises_invalid_params(self, path):
+        for q in (None, 1j, "x", [0.5]):
+            with pytest.raises(InvalidParams, match="is not a number"):
+                self.CALLS[path](q)
+
+
+class TestFloatParameters:
+    def test_width_and_bandwidth_must_be_numbers(self):
+        with pytest.raises(InvalidWidth):
+            histogram_density(A, "0.1")
+        with pytest.raises(InvalidParams, match="bandwidth"):
+            kde_density(A, "0.1")
+        with pytest.raises(InvalidParams, match="bandwidth"):
+            estimate_rho(A, method=KERNEL, bandwidth="0.1")
+
+    @pytest.mark.parametrize("base", [1, 0, -1, math.nan, math.inf, "2", True])
+    def test_log_base_must_be_positive_finite_and_not_one(self, base):
+        with pytest.raises(InvalidParams, match="log base"):
+            renyi_entropy_2(PROFILE, base=base)
+        with pytest.raises(InvalidParams, match="log base"):
+            log_error_entropy_bound(A.n, PROFILE, base=base)
+
+    def test_log_base_two_reads_bits(self):
+        bits = renyi_entropy_2(PROFILE, base=2)
+        assert bits == renyi_entropy_2(PROFILE) / math.log(2) == renyi_entropy_2(PROFILE, 2.0)
+        assert log_error_entropy_bound(A.n, PROFILE, base=np.float64(2.0)) == (
+            math.log(1.5 * A.n) / math.log(2) - bits)
+
+    def test_rho_must_be_a_number_at_least_zero(self):
+        for rho in (math.nan, -1.0, "1"):
+            with pytest.raises(InvalidParams, match="rho"):
+                error_bound_rho(50, 4, 0.0, 1.0, rho)
+            for pair in ((rho, 1.0), (1.0, rho)):
+                with pytest.raises(InvalidParams, match="rho"):
+                    error_bound_query_dist(50, 4, 0.0, 1.0, *pair)
+
+
+class TestBatchedStarts:
+    @pytest.mark.parametrize("starts", [[2.7], ["3"], [True], [math.nan], np.array([1.0])],
+                             ids=["fraction", "text", "bool", "nan", "float_array"])
+    def test_starts_must_be_an_integer_array(self, starts):
+        with pytest.raises(StartOutOfRange, match="integer array"):
+            exponential_search_many(A, starts, [0.5])
+
+    def test_integer_arrays_of_any_width_agree(self):
+        qs = A.keys[::7]
+        starts = np.arange(len(qs)) * 5
+        ranks, counts = exponential_search_many(A, starts, qs)
+        for dtype in (np.uint8, np.int32, np.uint64):
+            got = exponential_search_many(A, starts.astype(dtype), qs)
+            assert got[0].tolist() == ranks.tolist() and got[1].tolist() == counts.tolist()
+        scalar = [exponential_search(A, int(i), q) for i, q in zip(starts, qs)]
+        assert ranks.tolist() == [out.rank for out in scalar]
+        assert exponential_search_many(A, [], [])[0].size == 0
