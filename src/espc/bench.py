@@ -39,8 +39,9 @@ class BenchConfig:
     the full-size subsample, query count, and K grid.  When
     ``query_dist`` is set the workload is drawn from that distribution
     instead of from the keys, and the bound uses both density norms.
-    A ``k_grid`` entry that is not an integer >= 1 raises InvalidK, and any other
-    integer out of its range, or a grid that is empty or not ascending, InvalidParams.
+    A ``k_grid`` that is not a tuple or list, or an entry that is not an integer >= 1,
+    raises InvalidK, and any other integer out of its range, or a grid that is empty or
+    not ascending, InvalidParams.
     """
 
     dataset: DatasetSpec
@@ -55,7 +56,9 @@ class BenchConfig:
 
     def __post_init__(self):
         _integer(self.n_sub, 0, math.inf, InvalidParams, "n_sub")
-        grid = [_integer(k, 1, math.inf, InvalidK, "k_grid entry") for k in self.k_grid or ()]
+        if not isinstance(self.k_grid, (tuple, list)):
+            raise InvalidK(f"k_grid must be a tuple of integers, got {self.k_grid!r}")
+        grid = [_integer(k, 1, math.inf, InvalidK, "k_grid entry") for k in self.k_grid]
         if not grid or grid != sorted(grid):
             raise InvalidParams(f"k_grid must be non-empty and ascending, got {self.k_grid!r}")
         least = 1 if self.query_dist is None else 4  # rho_queries is fitted to the queries

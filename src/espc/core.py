@@ -8,6 +8,7 @@ clever search.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,14 +151,15 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
     This is the definitional oracle; ties are counted (rank of a
     duplicated key includes every copy).  Always in [0, n] and
     non-decreasing in ``q``.  On float keys a query is its float64
-    (:func:`_float`); on integer keys it is compared exactly.
+    (:func:`_float`); on integer keys it is compared exactly.  A query that does not
+    compare with numbers raises InvalidParams.
     """
     if A.mode == INT_MODE:
         # numpy would compare in float64, rounding keys above 2^53; an integer
         # key is <= q exactly when it is <= floor(q), so clamp, floor, compare.
         if isinstance(q, (float, np.floating)):
             q = math.floor(min(q, 2.0**64)) if q >= 0 else -1  # NaN counts as below
-        if q < 0:
+        if _comparable(q) < 0:
             return 0
         if q > _UINT64_MAX:
             return A.n
@@ -175,7 +177,21 @@ def _float(q) -> float:
     except OverflowError:
         return math.inf if q > 0 else -math.inf
     except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"query {q!r} is not a number") from exc
+        raise _not_a_number(q) from exc
+
+
+def _comparable(q):
+    """``q``, which integer keys compare as it is given, if it compares with numbers; a
+    ``q`` that does not, such as None, ``1j`` or ``"x"``, raises InvalidParams."""
+    try:
+        q < 0
+    except TypeError:
+        raise _not_a_number(q) from None
+    return q
+
+
+def _not_a_number(q) -> InvalidParams:
+    return InvalidParams(f"query {q!r} is not a number")
 
 
 def _integer(value, least: int, most, error: type, what: str) -> int:
@@ -184,6 +200,18 @@ def _integer(value, least: int, most, error: type, what: str) -> int:
     if isinstance(value, (int, np.integer)) and type(value) is not bool and least <= value <= most:
         return int(value)
     raise error(f"{what} must be an integer in [{least}, {most}], got {value!r}")
+
+
+def _real(value, least, most, error: type, what: str, closed: bool = False) -> float:
+    """``value`` as a float (:func:`_float`) for a real number, not a bool, in (least, most),
+    or in [least, most] when ``closed``; else ``error``, "<what> must be a real number in
+    (...), got <value>".  NaN lies in no range."""
+    if isinstance(value, numbers.Real) and type(value) is not bool:
+        x = _float(value)
+        if (least <= x <= most) if closed else (least < x < most):
+            return x
+    left, right = "[]" if closed else "()"
+    raise error(f"{what} must be a real number in {left}{least}, {most}{right}, got {value!r}")
 
 
 def exact_ranks(A: KeyArray, queries) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import FLOAT_MODE, INT_MODE, KeyArray, _integer, _validated, validate_key_array
+from .core import FLOAT_MODE, INT_MODE, KeyArray, _integer, _real, _validated, validate_key_array
 from .errors import (
     CountMismatch,
     DegenerateRange,
@@ -49,7 +49,8 @@ class DatasetSpec:
     ``lognormal`` (params ``mu``, ``sigma``; a heavy-tailed stand-in for
     hard real-world key sets).  Kind ``file`` reads params["path"]
     (params["mode"] selects int64/float64 payloads).  A seed that is not an integer
-    >= 0, or a param that the kind does not read, raises InvalidParams.
+    >= 0, params that are not a mapping, or a param that the kind does not read, raises
+    InvalidParams.
     """
 
     kind: str
@@ -59,6 +60,8 @@ class DatasetSpec:
 
     def __post_init__(self):
         _integer(self.seed, 0, math.inf, InvalidParams, "seed")
+        if not isinstance(self.params, Mapping):
+            raise InvalidParams(f"params must be a mapping, got {self.params!r}")
         allowed = _PARAMS.get(self.kind, self.params)  # generate refuses an unknown kind
         unknown = sorted(set(self.params) - set(allowed))
         if unknown:
@@ -90,15 +93,9 @@ def generate(spec: DatasetSpec) -> KeyArray:
     elif spec.kind == BETA22:
         draw = partial(rng.beta, 2.0, 2.0)
     else:
-        try:
-            mu = float(spec.params.get("mu", 0.0))
-            sigma = float(spec.params.get("sigma", 1.0 if spec.kind == NORMAL else 2.0))
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"mu and sigma must be numbers, got {dict(spec.params)}") from exc
-        if not math.isfinite(mu):
-            raise InvalidParams(f"mu must be finite, got {mu}")
-        if not 0 < sigma < math.inf:
-            raise InvalidParams(f"sigma must be positive and finite, got {sigma}")
+        mu = _real(spec.params.get("mu", 0.0), -math.inf, math.inf, InvalidParams, "mu")
+        sigma = _real(spec.params.get("sigma", 1.0 if spec.kind == NORMAL else 2.0),
+                      0, math.inf, InvalidParams, "sigma")
         draw = partial(rng.normal if spec.kind == NORMAL else rng.lognormal, mu, sigma)
     try:
         draws = draw(spec.n)

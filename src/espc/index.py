@@ -7,12 +7,15 @@ sample of the keys shows it spreads them much more evenly, a log-like
 transform (:func:`_choose_shift`).  A lookup locates its interval with one
 division, reads the stored estimate, and corrects it to the exact rank with
 an exponential search over the keys themselves, so ranks are exact whatever
-g is.  Build cost is O(K + min(n, K log n)); lookup cost is O(log error).
+g is.  Build cost is O(K + min(n, K log n)); lookup cost is O(log error + log(n/K)),
+as the search doubles from a first step of about n/(2K), which is 1 at K = n, where
+the cost is O(log error) and O(1) expected.
 
 Every scalar lookup checks the index and q against the keys' record
 (``KeyArray._probe``), then runs :func:`_lookup` on the record the index derives from
 its fields: it locates the cell, reads the slot and corrects through
-:func:`espc.search._gallop`.  Each structure makes its record when it is made.
+:func:`espc.search._gallop`, doubling from the record's first step.  Each structure
+makes its record when it is made.
 The two-layer lookup runs it on its top layer, whose bucket number fixes the rank to
 a range of at most ceil(n/K) - 1 unknown keys, and bisects one perfect bracket that
 covers that range.  Each builds one :class:`~espc.search.SearchOutcome`.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray, _float, _integer, key_queries
+from .core import KeyArray, _comparable, _float, _integer, _real, key_queries
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -36,8 +39,9 @@ from .errors import (
     InvalidParams,
     InvalidPolicyParams,
     OutOfRange,
+    StartOutOfRange,
 )
-from .search import SearchOutcome, _bisect, _gallop, exponential_search_many
+from .search import SearchOutcome, _bisect, _gallop, _gallop_many
 
 MAGIC = b"ESPC2"
 SLOT_BYTES = 4
@@ -84,9 +88,11 @@ class EspcIndex:
     ``x - x_first`` when ``shift`` is None, and otherwise
     ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
     scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields; a ``t``
-    that is not a 1-D uint32 array, or an ``n`` not an integer in [1, MAX_KEYS], raises
-    InvalidParams, an empty ``t`` InvalidK.  Instances are immutable and safe for concurrent
-    lookups.  They pickle and deep-copy as their fields, and the copy derives its record again.
+    that is not a 1-D uint32 array, an ``n`` not an integer in [1, MAX_KEYS], an
+    ``x_first`` or ``x_last`` not a finite real number, or a ``shift`` not a real number
+    in (-inf, x_first), raises InvalidParams, an empty ``t`` InvalidK.  Instances are
+    immutable and safe for concurrent lookups.  They pickle and deep-copy as their
+    fields, and the copy derives its record again.
     """
 
     x_first: float
@@ -97,22 +103,29 @@ class EspcIndex:
 
     def __post_init__(self):
         # Derived so not fields: K, delta, and the record _lookup reads, (slots, K, x_first,
-        # delta, shift, base), slots[k] == t.item(k), base = β(x_first - shift), and a single
-        # point's delta read as inf.  Set here, not by a cached_property, whose write to
+        # delta, shift, base, first), slots[k] == t.item(k), base = β(x_first - shift), a
+        # single point's delta read as inf, and first the gallop's first step: the largest
+        # power of two <= n // (2K), a typical distance from a cell's middle to its keys'
+        # ranks, or 1 below 2.  Set here, not by a cached_property, whose write to
         # __dict__ would make every attribute read of the index about three times slower.
         t = self.t
         if not (isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.uint32):
             got = f"{t.ndim}-D {t.dtype}" if isinstance(t, np.ndarray) else type(t).__name__
             raise InvalidParams(f"slots t must be a 1-D uint32 array, got {got}")
         _integer(self.n, 1, MAX_KEYS, InvalidParams, "key count n")
+        _real(self.x_first, -math.inf, math.inf, InvalidParams, "x_first")
+        _real(self.x_last, -math.inf, math.inf, InvalidParams, "x_last")
+        if self.shift is not None:
+            _real(self.shift, -math.inf, self.x_first, InvalidParams, "shift")
         k = _integer(len(t), 1, math.inf, InvalidK, "interval count len(t)")
         delta = _span(self.x_first, self.x_last, self.shift) / k  # as _cell_counts divides
         base = None if self.shift is None else _bits(self.x_first - self.shift)
         slots = memoryview(t).toreadonly()
         object.__setattr__(self, "K", k)
         object.__setattr__(self, "delta", delta)
+        first = 1 << (max(self.n // (2 * k), 1).bit_length() - 1)
         object.__setattr__(self, "_record", (slots, k, self.x_first, delta or math.inf,
-                                             self.shift, base))
+                                             self.shift, base, first))
 
     def __reduce__(self):
         return EspcIndex, (self.x_first, self.x_last, self.n, self.t, self.shift)
@@ -163,11 +176,12 @@ def _scaled(values, lo: float, step: float, shift: float | None) -> np.ndarray:
 
 def _lookup(record: tuple, keys, q, comparisons: int):
     """:func:`espc.search._gallop` over the probe view ``keys`` from ceil(t/2), t the slot
-    of the cell of ``q``, a Python scalar in [x_first, x_last]; given no ``keys``, the cell.
+    of the cell of ``q``, a Python scalar in [x_first, x_last], doubling from the record's
+    first step; given no ``keys``, the cell.
 
     The cell is :func:`assign_intervals`' rule, with g's float rounded as numpy rounds it.
     """
-    slots, last, x_first, delta, shift, base = record
+    slots, last, x_first, delta, shift, base, first = record
     if shift is None:
         k = math.ceil((q - x_first) / delta)
     else:  # int / float divides float(int), correctly rounded as numpy's cast is
@@ -179,7 +193,7 @@ def _lookup(record: tuple, keys, q, comparisons: int):
     if keys is None:
         return k
     t = slots[k - 1]
-    return _gallop(keys, t - (t >> 1), q, comparisons)  # ceil(t/2), faster than (t + 1) >> 1
+    return _gallop(keys, t - (t >> 1), q, comparisons, first)  # ceil(t/2), faster than (t+1)>>1
 
 
 def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int, shift=None) -> np.ndarray:
@@ -340,7 +354,7 @@ def predict_many(idx: EspcIndex, values) -> np.ndarray:
     lo, hi = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)
     if not lo <= hi:  # NaN propagates through both
         raise OutOfRange("NaN query has no rank")
-    _, _, x_first, delta, shift, _ = idx._record  # one point's delta is inf: every y is -1
+    _, _, x_first, delta, shift, _, _ = idx._record  # one point's delta is inf: every y is -1
     outside = lo < x_first or hi > idx.x_last
     y = _scaled(v.clip(x_first, idx.x_last) if outside else v, x_first, delta, shift)
     y -= 1.0
@@ -366,8 +380,11 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
         StartOutOfRange: a slot outside [0, n], which only a hand-built index holds.
     """
     keys, n, lo, hi, lo_f, hi_f = A._probe
-    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
-        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+    if type(q) is not float:
+        if type(lo) is float or isinstance(q, np.floating):
+            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+        elif not isinstance(q, (int, np.integer)):
+            _comparable(q)  # integer keys compare any other query as it is given
     if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
         raise _mismatch(idx.n, A)
     if not lo <= q <= hi:
@@ -390,8 +407,8 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     The result equals :func:`evaluate_rank` on each element of
     ``np.asarray(qs)``.  Queries below the keys cost 1 comparison and those
     above cost 2; the others start at ceil(estimate) of their interval and
-    run :func:`espc.search.exponential_search_many`.  Queries meet the keys
-    as :func:`espc.core.key_queries` reads them.
+    gallop in lockstep from the index's first step (:func:`espc.search._gallop_many`).
+    Queries meet the keys as :func:`espc.core.key_queries` reads them.
 
     Returns:
         (ranks, comparisons): two int64 arrays, one entry per query.
@@ -400,6 +417,7 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
         IndexMismatch: index was built over an array of other length or key range.
         OutOfRange: a query is NaN.
         InvalidParams: as :func:`espc.core.key_queries`.
+        StartOutOfRange: a slot above 2n, which only a hand-built index holds.
     """
     _, n, _, _, lo_f, hi_f = A._probe
     if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
@@ -413,7 +431,9 @@ def evaluate_rank_many(idx: EspcIndex, A: KeyArray, qs) -> tuple[np.ndarray, np.
     inside = np.flatnonzero(~(under | over))
     if inside.size:  # locate with the query's own value and start at ceil(t/2), as _lookup does
         starts = np.ceil(predict_many(idx, raw[inside])).astype(np.int64)
-        found, cost = exponential_search_many(A, starts, q[inside])
+        if starts.max() > n:
+            raise StartOutOfRange(f"start {starts.max()} outside [0, {n}]")
+        found, cost = _gallop_many(A.keys, starts, q[inside], idx._record[6])  # first step
         ranks[inside] = found
         comparisons[inside] += cost
     return ranks, comparisons
@@ -537,8 +557,11 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
     """
     view, top, last, k, built_n, first_f, last_at, depth, span = h._record
     keys, n, lo, hi, lo_f, _ = A._probe
-    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
-        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+    if type(q) is not float:
+        if type(lo) is float or isinstance(q, np.floating):
+            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+        elif not isinstance(q, (int, np.integer)):
+            _comparable(q)  # integer keys compare any other query as it is given
     if built_n != n or first_f != lo_f or keys[last_at] != last:  # the bracket trusts them
         raise _mismatch(built_n, A)
     if not lo <= q <= hi:

@@ -13,7 +13,10 @@ so :func:`_gallop` hands each such bracket its doubling phase leaves to C
 end of the keys, and :func:`binary_search_rank`, run :func:`_bisect`, the
 interpreted loop that stays the reference for counts.
 :func:`exponential_search_many` runs many searches in lockstep with the
-same probes, so its ranks and counts equal the scalar ones.
+same probes, so its ranks and counts equal the scalar ones.  The public searches
+double from a first step of 1; the index lookups pass :func:`_gallop` and the lockstep
+kernel :func:`_gallop_many` a larger power of two where the index's cells hold
+many keys.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import KeyArray, Rank, _float, _integer
+from .core import KeyArray, Rank, _comparable, _float, _integer
 from .errors import InvalidParams, StartOutOfRange
 
 
@@ -40,8 +43,11 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
     Costs at most ceil(log2(n + 1)) key comparisons.
     """
     keys, n, lo = A._probe[:3]
-    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
-        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+    if type(q) is not float:
+        if type(lo) is float or isinstance(q, np.floating):
+            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+        elif not isinstance(q, (int, np.integer)):
+            _comparable(q)  # integer keys compare any other query as it is given
     return tuple.__new__(SearchOutcome, _bisect(keys, 0, n, q, 0))
 
 
@@ -59,27 +65,34 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     """
     keys, n, lo = A._probe[:3]
     i = _integer(i, 0, n, StartOutOfRange, "start")
-    if type(q) is not float and (type(lo) is float or isinstance(q, np.floating)):
-        q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+    if type(q) is not float:
+        if type(lo) is float or isinstance(q, np.floating):
+            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
+        elif not isinstance(q, (int, np.integer)):
+            _comparable(q)  # integer keys compare any other query as it is given
     return tuple.__new__(SearchOutcome, _gallop(keys, i, q, 0))
 
 
-def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:
-    """:func:`exponential_search` over the probe view ``keys``, adding to ``comparisons``.
+def _gallop(keys, i: int, q, comparisons: int, first: int = 1) -> tuple[Rank, int]:
+    """:func:`exponential_search` over the probe view ``keys``, adding to ``comparisons``;
+    its doubling steps start at ``first``, a power of two, where the public search starts at 1.
 
     ``q`` must compare exactly with the keys (a Python scalar, not a numpy float).
 
     A doubling phase that ends on a key across ``q`` from ``i`` leaves a
-    perfect bracket: going right, the step/2 - 1 positions strictly between
-    the last two probes i + step/2 and i + step, and going left their mirror
-    image.  With ``mid = (lo + hi) // 2`` a bracket of 2^t - 1 positions
+    perfect bracket: going right, the positions strictly between the last two
+    probes, i + step/2 and i + step, or between i and i + first when the first
+    step already crosses ``q``; going left their mirror image.  With
+    ``mid = (lo + hi) // 2`` a bracket of 2^t - 1 positions
     bisects as a perfect tree, so every path probes exactly t keys, and
     ``bisect.bisect_right`` takes the same midpoints and tests ``q < key``,
     which is ``not key <= q`` for every q but NaN (a NaN q goes left to rank
     0 without a bracket).  So C bisects every non-empty perfect bracket and
-    t is added to the count; empty ones (step 1 or 2) return at once, and a
+    t is added to the count; empty ones (first 1, step 1 or 2) return at once, and a
     bracket clamped at 0 or n keeps :func:`_bisect`, the reference for counts.
-    Each doubling phase counts its probes once, from its final step.
+    Each doubling phase counts its probes once, from the bit lengths of ``first``
+    and of its final step ``first << m``: m + 1 probes, or m where clamped (at 0,
+    keys[0] is probed after them).
 
     Raises:
         StartOutOfRange: ``i`` outside [0, n]; a negative ``i`` would index
@@ -92,33 +105,46 @@ def _gallop(keys, i: int, q, comparisons: int) -> tuple[Rank, int]:
     if i < n:
         comparisons += 1
         if keys[i] <= q:
-            # rank > i: probe i+1, i+2, i+4, ... until a key exceeds q.
-            step = 1
+            # rank > i: probe i+first, i+2first, i+4first, ... until a key exceeds q.
+            step = first
             while i + step < n and keys[i + step] <= q:
                 step += step
             if i + step >= n:  # clamped at n: the last step probed nothing
-                return _bisect(keys, i + (step >> 1) + 1, n, q, comparisons + step.bit_length() - 1)
-            # keys[i + step] > q: rank in (i + step/2, i + step]
-            if step <= 2:
-                return i + step, comparisons + step
-            t = step.bit_length() - 2  # t + 2 doubling probes, then t in the bracket
-            return bisect_right(keys, q, i + (step >> 1) + 1, i + step), comparisons + 2 + 2 * t
+                lo = i + 1 + (step >> 1 if step > first else 0)
+                return _bisect(keys, lo, n, q, comparisons + step.bit_length() - first.bit_length())
+            if step < 2:  # keys[i + 1] > q
+                return i + 1, comparisons + 1
+            if step > first:  # keys[i + step] > q: rank in (i + step/2, i + step]
+                if step == 2:
+                    return i + 2, comparisons + 2
+                t = step.bit_length() - 2  # t + 3 - bits(first) doubling probes, then t
+                return (bisect_right(keys, q, i + (step >> 1) + 1, i + step),
+                        comparisons + 2 * t + 3 - first.bit_length())
+            # rank in (i, i + first]: one doubling probe, then bits(first) - 1 in the bracket
+            return bisect_right(keys, q, i + 1, i + step), comparisons + step.bit_length()
 
-    # rank <= i: probe i-1, i-2, i-4, ... (clamped at 0) until a key is <= q.
-    step = 1
+    # rank <= i: probe i-first, i-2first, i-4first, ... (clamped at 0) until a key is <= q.
+    step = first
     while step < i and not keys[i - step] <= q:
         step += step
-    if step < i:  # keys[i - step] <= q: rank in (i - step, i - step/2]
-        if step <= 2:
-            return i - step + 1, comparisons + step
-        t = step.bit_length() - 2  # t + 2 doubling probes, then t in the bracket
-        return bisect_right(keys, q, i - step + 1, i - (step >> 1)), comparisons + 2 + 2 * t
+    if step < i:
+        if step < 2:  # keys[i - 1] <= q
+            return i, comparisons + 1
+        if step > first:  # keys[i - step] <= q: rank in (i - step, i - step/2]
+            if step == 2:
+                return i - 1, comparisons + 2
+            t = step.bit_length() - 2  # t + 3 - bits(first) doubling probes, then t
+            return (bisect_right(keys, q, i - step + 1, i - (step >> 1)),
+                    comparisons + 2 * t + 3 - first.bit_length())
+        # rank in (i - first, i]: one doubling probe, then bits(first) - 1 in the bracket
+        return bisect_right(keys, q, i - step + 1, i), comparisons + step.bit_length()
     if not i:
         return 0, comparisons
-    comparisons += step.bit_length()  # clamped at 0: keys[0] is probed last
+    # clamped at 0: the doubling probes that missed, then keys[0]
+    comparisons += step.bit_length() - first.bit_length() + 1
     if not keys[0] <= q:
         return 0, comparisons
-    return _bisect(keys, 1, i - (step >> 1), q, comparisons)
+    return _bisect(keys, 1, i - (step >> 1) if step > first else i, q, comparisons)
 
 
 def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +172,13 @@ def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.nda
     q = np.asarray(qs)
     if not np.can_cast(q.dtype, keys.dtype):
         raise InvalidParams(f"{q.dtype} queries do not compare exactly with {keys.dtype} keys")
-    q = q.astype(keys.dtype, copy=False)
+    return _gallop_many(keys, i, q.astype(keys.dtype, copy=False), 1)
 
+
+def _gallop_many(keys, i: np.ndarray, q: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gallop` from the int64 starts ``i`` in [0, n], doubling from ``first``, of
+    the queries ``q`` in the keys' dtype, in lockstep; returns int64 (ranks, comparisons)."""
+    n = len(keys)
     probed = i < n
     comparisons = probed.astype(np.int64)
     go_right = np.zeros(i.shape, dtype=bool)
@@ -155,8 +186,8 @@ def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.nda
     lo = np.where(go_right, i + 1, 0)
     hi = np.where(go_right, n, i)
 
-    # rank > i: probe i+1, i+2, i+4, ... until a key exceeds q.
-    lanes, step = np.flatnonzero(go_right), 1
+    # rank > i: probe i+first, i+2first, i+4first, ... until a key exceeds q.
+    lanes, step = np.flatnonzero(go_right), first
     while lanes.size:
         j = i[lanes] + step
         inside = j < n
@@ -167,8 +198,8 @@ def exponential_search_many(A: KeyArray, starts, qs) -> tuple[np.ndarray, np.nda
         hi[lanes[~le]] = j[~le]
         lanes, step = lanes[le], step * 2
 
-    # rank <= i: probe i-1, i-2, i-4, ... (clamped at 0) until a key is <= q.
-    lanes, step = np.flatnonzero(~go_right & (i > 0)), 1
+    # rank <= i: probe i-first, i-2first, i-4first, ... (clamped at 0) until a key is <= q.
+    lanes, step = np.flatnonzero(~go_right & (i > 0)), first
     while lanes.size:
         j = np.maximum(i[lanes] - step, 0)
         comparisons[lanes] += 1

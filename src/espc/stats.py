@@ -12,13 +12,12 @@ bounds, and the rho estimator.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray, _integer
+from .core import KeyArray, _integer, _real
 from .errors import (
     DegenerateIQR,
     DegenerateIqrWarning,
@@ -60,9 +59,12 @@ def partition_probabilities(A: KeyArray, a: float, b: float, k: int) -> Partitio
     probabilities predict index behaviour directly.
 
     Raises:
+        InvalidParams: a or b is not a finite real number.
         SupportViolation: [a, b] does not contain the key range.
         InvalidK: as :func:`espc.index.build_espc` raises it.
     """
+    a = _real(a, -math.inf, math.inf, InvalidParams, "support end a")
+    b = _real(b, -math.inf, math.inf, InvalidParams, "support end b")
     if not a < b:
         raise SupportViolation(f"need a < b, got [{a}, {b}]")
     if a > float(A.keys[0]) or float(A.keys[-1]) > b:
@@ -88,8 +90,9 @@ def _log(x: float, base) -> float:
     """log(x) in ``base``, natural for None; InvalidParams unless 0 < base < inf, base != 1."""
     if base is None:
         return math.log(x)
-    if not (isinstance(base, numbers.Real) and 0 < base < math.inf and base != 1):
-        raise InvalidParams(f"log base must be a finite number > 0 other than 1, got {base!r}")
+    base = _real(base, 0, math.inf, InvalidParams, "log base")
+    if base == 1:
+        raise InvalidParams("log base must not be 1")
     return math.log(x) / math.log(base)
 
 
@@ -102,21 +105,17 @@ def error_bound_partition(n: int, profile: PartitionProfile) -> float:
 def error_bound_rho(n: int, k: int, a: float, b: float, rho: float) -> float:
     """Expected-error bound (3(b-a)/2) * rho * n / K from the density norm.
 
-    An n or k that is not an integer >= 1 raises InvalidParams or InvalidK, and a rho
-    that is not a number >= 0, or b <= a, InvalidParams.
+    An n or k that is not an integer >= 1 raises InvalidParams or InvalidK, and an a or b
+    that is not a finite real number, b <= a, or a rho that is not a real number >= 0,
+    InvalidParams.
     """
     n = _integer(n, 1, math.inf, InvalidParams, "key count n")
     k = _integer(k, 1, math.inf, InvalidK, "cell count")
+    a = _real(a, -math.inf, math.inf, InvalidParams, "support end a")
+    b = _real(b, -math.inf, math.inf, InvalidParams, "support end b")
     if not b > a:
         raise InvalidParams(f"need b > a, got [{a}, {b}]")
-    return 1.5 * (b - a) * _norm(rho) * n / k
-
-
-def _norm(rho):
-    """``rho`` if it is a real number >= 0, else InvalidParams; NaN is not."""
-    if not (isinstance(rho, numbers.Real) and rho >= 0):
-        raise InvalidParams(f"rho must be a number >= 0, got {rho!r}")
-    return rho
+    return 1.5 * (b - a) * _real(rho, 0, math.inf, InvalidParams, "rho", closed=True) * n / k
 
 
 def error_bound_query_dist(
@@ -127,7 +126,9 @@ def error_bound_query_dist(
     Replaces rho with sqrt(rho_keys * rho_queries); reduces to
     :func:`error_bound_rho` when the two coincide, and refuses either rho as it does.
     """
-    return error_bound_rho(n, k, a, b, math.sqrt(_norm(rho_keys) * _norm(rho_queries)))
+    rho_keys = _real(rho_keys, 0, math.inf, InvalidParams, "rho_keys", closed=True)
+    rho_queries = _real(rho_queries, 0, math.inf, InvalidParams, "rho_queries", closed=True)
+    return error_bound_rho(n, k, a, b, math.sqrt(rho_keys * rho_queries))
 
 
 def log_error_entropy_bound(
@@ -234,8 +235,7 @@ def histogram_density(A: KeyArray, width: float) -> DensityEstimate:
             than :func:`espc.index.build_espc` admits as cells, cannot be allocated,
             or overflow the heights.
     """
-    if not (isinstance(width, numbers.Real) and width > 0.0 and math.isfinite(width)):
-        raise InvalidWidth(f"bin width must be positive and finite, got {width!r}")
+    width = _real(width, 0, math.inf, InvalidWidth, "bin width")
     lo, hi = float(A.keys[0]), float(A.keys[-1])
     bins = (hi - lo) / width
     if not bins < 2**63:  # also infinite: bin numbers are int64
@@ -276,8 +276,7 @@ def kde_density(A: KeyArray, bandwidth: float | None = None) -> DensityEstimate:
     vals = A.keys.astype(np.float64, copy=False)
     if bandwidth is None:
         bandwidth = 1.06 * float(np.std(vals, ddof=1)) * n ** (-0.2)
-    if not (isinstance(bandwidth, numbers.Real) and bandwidth > 0.0 and math.isfinite(bandwidth)):
-        raise InvalidParams(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    bandwidth = _real(bandwidth, 0, math.inf, InvalidParams, "bandwidth")
 
     pad = _KDE_TAIL_CUT * bandwidth
     lo, hi = float(vals[0]) - pad, float(vals[-1]) + pad

@@ -1,9 +1,11 @@
 """Every parameter that cannot be read raises a typed error.
 
 Integer parameters follow one rule (``espc.core._integer``): a Python or numpy
-integer, not a bool, in the parameter's range.  The table below holds one row
-for every integer parameter and field that ``espc`` exports; a guard walks the
-exports so that a new one cannot go unchecked.
+integer, not a bool, in the parameter's range.  Real-valued ones follow another
+(``espc.core._real``): a real number, not a bool, in the parameter's range, which
+NaN is never in.  A table holds one row for every integer parameter and field that
+``espc`` exports, and another for every real-valued one; guards walk the exports so
+that a new one cannot go unchecked.
 """
 
 import dataclasses
@@ -11,13 +13,14 @@ import inspect
 import math
 import re
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import espc
 from espc.bench import CSV_COLUMNS, BenchConfig, run_error_experiment
-from espc.core import FLOAT_MODE, rank_bruteforce, validate_key_array
+from espc.core import FLOAT_MODE, INT_MODE, rank_bruteforce, validate_key_array
 from espc.data import DatasetSpec, generate, subsample
 from espc.errors import (
     InvalidK,
@@ -59,7 +62,10 @@ A = validate_key_array(np.linspace(0.0, 1.0, 50), FLOAT_MODE)
 PROFILE = partition_probabilities(A, 0.0, 1.0, 4)
 IDX = build_espc(A, 8)
 HIER = build_equal_probability(A, 5, 3)
-OUTPUT_RECORDS = {"BenchRecord", "SearchOutcome"}  # made by the package, never passed in
+INT_A = validate_key_array([1, 2, 3], INT_MODE)
+SLOTS = np.array([1, 3], dtype=np.uint32)
+# Made by the package, never passed in.
+OUTPUT_RECORDS = {"BenchRecord", "SearchOutcome", "RhoEstimate", "DensityEstimate"}
 
 
 def _bench(**fields) -> list:
@@ -133,7 +139,9 @@ def test_integer_parameter_reads_numpy_integers_as_python_ints(row):
         assert call(kind(valid)) == expected
 
 
-def _integer_parameters() -> set:
+def _exported_parameters(hints_of_kind) -> set:
+    """"<export>.<parameter>" for each parameter or field of an export annotated as one of
+    ``hints_of_kind``."""
     found = set()
     for name in dir(espc):
         obj = getattr(espc, name)
@@ -145,18 +153,107 @@ def _integer_parameters() -> set:
             continue
         hints = typing.get_type_hints(obj)
         hints.pop("return", None)
-        found |= {f"{name}.{p}" for p, hint in hints.items() if hint in (int, tuple[int, ...])}
+        found |= {f"{name}.{p}" for p, hint in hints.items() if hint in hints_of_kind}
     return found
 
 
 def test_every_exported_integer_parameter_has_a_row():
-    found = _integer_parameters()
+    found = _exported_parameters((int, tuple[int, ...]))
     assert found >= {"build_espc.k", "BenchConfig.k_grid", "EspcIndex.n"}  # the walk sees them
     assert found - set(ROWS) == set(), "add a row for each new integer parameter"
     assert set(ROWS) - found == set(), "a row names no exported integer parameter"
 
 
+# "<export>.<parameter>": (call with the value, typed error, an out-of-range value, a valid value)
+REAL_ROWS = {
+    "partition_probabilities.a": (lambda v: partition_probabilities(A, v, 1.0, 4).p.tobytes(),
+                                  InvalidParams, -math.inf, 0.0),
+    "partition_probabilities.b": (lambda v: partition_probabilities(A, 0.0, v, 4).p.tobytes(),
+                                  InvalidParams, math.inf, 1.0),
+    "error_bound_rho.a": (lambda v: repr(error_bound_rho(50, 4, v, 1.0, 1.2)),
+                          InvalidParams, -math.inf, 0.0),
+    "error_bound_rho.b": (lambda v: repr(error_bound_rho(50, 4, 0.0, v, 1.2)),
+                          InvalidParams, math.inf, 1.0),
+    "error_bound_rho.rho": (lambda v: repr(error_bound_rho(50, 4, 0.0, 1.0, v)),
+                            InvalidParams, -1.0, 1.2),
+    "error_bound_query_dist.a": (lambda v: repr(error_bound_query_dist(50, 4, v, 1.0, 1.2, 2.0)),
+                                 InvalidParams, -math.inf, 0.0),
+    "error_bound_query_dist.b": (lambda v: repr(error_bound_query_dist(50, 4, 0.0, v, 1.2, 2.0)),
+                                 InvalidParams, math.inf, 1.0),
+    "error_bound_query_dist.rho_keys": (
+        lambda v: repr(error_bound_query_dist(50, 4, 0.0, 1.0, v, 2.0)), InvalidParams, -1.0, 1.2),
+    "error_bound_query_dist.rho_queries": (
+        lambda v: repr(error_bound_query_dist(50, 4, 0.0, 1.0, 1.2, v)), InvalidParams, -1.0, 2.0),
+    "histogram_density.width": (lambda v: histogram_density(A, v).heights.tobytes(),
+                                InvalidWidth, 0.0, 0.1),
+    "kde_density.bandwidth": (lambda v: kde_density(A, v).heights.tobytes(),
+                              InvalidParams, math.inf, 0.1),
+    "estimate_rho.bandwidth": (lambda v: repr(estimate_rho(A, method=KERNEL, bandwidth=v)),
+                               InvalidParams, 0.0, 0.1),
+    "renyi_entropy_2.base": (lambda v: repr(renyi_entropy_2(PROFILE, base=v)),
+                             InvalidParams, -2.0, 2.0),
+    "log_error_entropy_bound.base": (lambda v: repr(log_error_entropy_bound(A.n, PROFILE, base=v)),
+                                     InvalidParams, math.inf, 2.0),
+    "EspcIndex.x_first": (lambda v: serialize_index(EspcIndex(x_first=v, x_last=1.0, n=2, t=SLOTS)),
+                          InvalidParams, -math.inf, 0.0),
+    "EspcIndex.x_last": (lambda v: serialize_index(EspcIndex(x_first=0.0, x_last=v, n=2, t=SLOTS)),
+                         InvalidParams, math.inf, 1.0),
+    "EspcIndex.shift": (lambda v: serialize_index(EspcIndex(x_first=0.0, x_last=1.0, n=2, t=SLOTS,
+                                                            shift=v)),
+                        InvalidParams, 0.0, -1.0),  # below x_first
+}
+OPTIONAL = _exported_parameters((float | None,))  # None is a valid value of these
+
+
+@pytest.mark.parametrize("row", sorted(REAL_ROWS))
+def test_real_parameter_refuses_what_is_not_a_real_number_in_range(row):
+    call, error, out_of_range, _ = REAL_ROWS[row]
+    refused = ["0.5", 1j, True, math.nan, out_of_range] + ([] if row in OPTIONAL else [None])
+    for bad in refused:
+        message = f"must be a real number in .*, got {re.escape(repr(bad))}$"
+        with pytest.raises(error, match=message):
+            call(bad)
+
+
+@pytest.mark.parametrize("row", sorted(REAL_ROWS))
+def test_real_parameter_reads_numpy_and_integer_values_as_floats(row):
+    call, _, _, valid = REAL_ROWS[row]
+    expected = call(valid)
+    for kind in (np.float64, np.float32):
+        if float(kind(valid)) == valid:  # 0.1 is no float32
+            assert call(kind(valid)) == expected
+    if valid == int(valid):
+        assert call(int(valid)) == expected
+
+
+def test_every_exported_real_parameter_has_a_row():
+    found = _exported_parameters((float, float | None))
+    assert found >= {"error_bound_rho.rho", "kde_density.bandwidth"}  # the walk sees them
+    assert found - set(REAL_ROWS) == set(), "add a row for each new real-valued parameter"
+    assert set(REAL_ROWS) - found == set(), "a row names no exported real-valued parameter"
+
+
+class TestContainers:
+    def test_k_grid_that_is_not_a_sequence_raises_invalid_k(self):
+        with pytest.raises(InvalidK, match="k_grid must be a tuple of integers, got 5$"):
+            BenchConfig(DatasetSpec("uniform", n=400), k_grid=5)
+
+    def test_dataset_params_that_are_not_a_mapping_raise_invalid_params(self):
+        for params in (None, [("mu", 1.0)], "mu"):
+            with pytest.raises(InvalidParams, match="params must be a mapping"):
+                DatasetSpec("uniform", params=params)
+
+    @pytest.mark.parametrize("name", ["mu", "sigma"])
+    def test_distribution_params_follow_the_real_rule(self, name):
+        for bad in ("1", None, True, math.nan, math.inf):
+            with pytest.raises(InvalidParams, match=f"^{name} must be a real number in"):
+                generate(DatasetSpec("lognormal", n=10, params={name: bad}))
+        assert (generate(DatasetSpec("lognormal", n=10, params={name: np.float32(1.0)})).keys
+                == generate(DatasetSpec("lognormal", n=10, params={name: 1})).keys).all()
+
+
 class TestScalarQueries:
+    INT_IDX, INT_HIER = build_espc(INT_A, 2), build_equal_probability(INT_A, 2, 1)
     CALLS = {
         "evaluate_rank": lambda q: evaluate_rank(IDX, A, q),
         "evaluate_rank_hier": lambda q: evaluate_rank_hier(HIER, A, q),
@@ -165,6 +262,13 @@ class TestScalarQueries:
         "predict": lambda q: predict(IDX, q),
         "locate_interval": lambda q: locate_interval(IDX, q),
         "rank_bruteforce": lambda q: rank_bruteforce(A, q),
+        # Integer keys compare a query as it is given.
+        "int_evaluate_rank": lambda q: evaluate_rank(TestScalarQueries.INT_IDX, INT_A, q),
+        "int_evaluate_rank_hier": lambda q: evaluate_rank_hier(TestScalarQueries.INT_HIER,
+                                                               INT_A, q),
+        "int_binary_search_rank": lambda q: binary_search_rank(INT_A, q),
+        "int_exponential_search": lambda q: exponential_search(INT_A, 0, q),
+        "int_rank_bruteforce": lambda q: rank_bruteforce(INT_A, q),
     }
 
     @pytest.mark.parametrize("path", sorted(CALLS))
@@ -172,6 +276,16 @@ class TestScalarQueries:
         for q in (None, 1j, "x", [0.5]):
             with pytest.raises(InvalidParams, match="is not a number"):
                 self.CALLS[path](q)
+
+    def test_integer_keys_compare_a_fraction_exactly(self):
+        # 2^60 + 1 has no float64; the refusal of non-numbers must not round it.
+        keys = validate_key_array([2**60, 2**60 + 1], INT_MODE)
+        q = Fraction(2**60 + 1)
+        idx, hier = build_espc(keys, 2), build_equal_probability(keys, 2, 1)
+        assert rank_bruteforce(keys, q) == 2
+        for out in (evaluate_rank(idx, keys, q), evaluate_rank_hier(hier, keys, q),
+                    binary_search_rank(keys, q), exponential_search(keys, 0, q)):
+            assert out.rank == 2
 
 
 class TestFloatParameters:

@@ -5,8 +5,10 @@ all-equal keys and finite floats of any magnitude; queries are keys,
 neighbours of keys and arbitrary values on both sides of the key range, as
 Python or as numpy scalars.  On float keys every path reads a query,
 Python int, float or numpy float, as its float64, as the oracle does.
-Inside the keys, a lookup's comparisons are those of the scalar
-exponential search from its start plus its own checks.
+Inside the keys, a lookup's comparisons are those of a gallop from its start,
+doubling from the first step the index's occupancy fixes, plus its own checks; an
+interpreted reference counts that gallop from the rank alone, from every start and
+first step, and the batched gallop equals the scalar one lane by lane.
 Serialized indexes round-trip, and a corrupted
 one is rejected at load, or it no longer matches the keys, or it gives
 exact ranks.
@@ -67,7 +69,13 @@ from espc.index import (
     predict_many,
     serialize_index,
 )
-from espc.search import binary_search_rank, exponential_search, exponential_search_many
+from espc.search import (
+    _gallop,
+    _gallop_many,
+    binary_search_rank,
+    exponential_search,
+    exponential_search_many,
+)
 from espc.stats import (
     HISTOGRAM,
     KERNEL,
@@ -194,11 +202,57 @@ def _inside(A, queries):
     return [q for q in queries if lo <= (float(q) if isinstance(q, np.floating) else q) <= hi]
 
 
-def _composition_holds(A, idx, h, queries):
-    """Inside the keys, each lookup is the public functions it is made of, counts summed.
+def _first_step(n, k):
+    """The largest power of two <= n // (2k), or 1 below 2."""
+    first = 1
+    while 4 * first * k <= n:
+        first *= 2
+    return first
 
-    Flat: its two endpoint checks and exponential_search from ceil(predict), where
-    predict is the batched estimate.  Two-layer: the oracle's rank, at the cost of its
+
+def _gallop_reference(n, i, rank, first):
+    """(rank, comparisons) of the gallop from start ``i`` over ``n`` keys, doubling from
+    ``first``: an interpreted loop whose every probe reads the rank alone, as keys[x] <= q
+    holds exactly when x < rank, and bisects every bracket itself."""
+    comparisons = 0
+
+    def at_most_q(x):
+        nonlocal comparisons
+        comparisons += 1
+        return x < rank
+
+    step = first
+    if i < n and at_most_q(i):
+        lo, hi = i + 1, n
+        while i + step < n:
+            if not at_most_q(i + step):
+                hi = i + step
+                break
+            lo, step = i + step + 1, 2 * step
+    else:
+        lo, hi = 0, i
+        while hi > 0:
+            j = max(i - step, 0)
+            if at_most_q(j):
+                lo = j + 1
+                break
+            hi, step = j, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at_most_q(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, comparisons
+
+
+def _composition_holds(A, idx, h, queries):
+    """Inside the keys, each lookup is the parts it is made of, counts summed.
+
+    Flat: the oracle's rank, at the cost of its two endpoint checks and the gallop from
+    ceil(predict), where predict is the batched estimate, doubling from the first step
+    the index's n and K fix, as :func:`_gallop_reference` counts it; where that step is 1
+    this is exponential_search's count.  Two-layer: the oracle's rank, at the cost of its
     two endpoint checks, the flat lookup on the top layer over the boundaries, and
     T = bit_length(ceil(n/K) - 1) probes, or binary_search_rank's count where the
     perfect bracket 2^T - 1 is longer than n.  Either index may be None (not buildable).
@@ -207,8 +261,13 @@ def _composition_holds(A, idx, h, queries):
         if idx is not None:
             estimate = predict(idx, q)
             assert estimate == predict_many(idx, [float(q)])[0]
-            rank, cost = exponential_search(A, math.ceil(estimate), q)
-            assert evaluate_rank(idx, A, q) == (rank, 2 + cost)
+            start, first = math.ceil(estimate), _first_step(A.n, idx.K)
+            truth = rank_bruteforce(A, q)
+            rank, cost = _gallop_reference(A.n, start, truth, first)
+            assert rank == truth
+            assert evaluate_rank(idx, A, q) == (truth, 2 + cost)
+            if first == 1:
+                assert exponential_search(A, start, q) == (truth, cost)
         if h is not None:
             depth = (-(-A.n // h.K) - 1).bit_length()
             cost = binary_search_rank(A, q).comparisons if 2**depth - 1 > A.n else depth
@@ -222,6 +281,20 @@ def test_lookups_count_what_the_scalar_search_counts(data, k, k_top):
     idx = _buildable(build_espc, A, k)
     h = _buildable(build_equal_probability, A, min(k, A.n), k_top)
     _composition_holds(A, idx, h, queries)
+
+
+@given(arrays_and_queries(), st.integers(0, 6))
+def test_gallop_from_every_start_and_first_step_counts_as_the_reference(data, log_first):
+    A, queries = data
+    keys, first = A._probe[0], 2**log_first
+    for q in queries:
+        rank = rank_bruteforce(A, q)
+        if A.mode == FLOAT_MODE or isinstance(q, np.floating):
+            q = float(q)  # as the lookups read it; integer keys compare an integer exactly
+        for i in range(A.n + 1):
+            expected = _gallop_reference(A.n, i, rank, first)
+            assert expected[0] == rank
+            assert _gallop(keys, i, q, 0, first) == expected
 
 
 @given(arrays_and_queries())
@@ -315,8 +388,8 @@ def test_batched_lookup_matches_scalar(data, k):
     assert comparisons.tolist() == [out.comparisons for out in scalar]
 
 
-@given(arrays_and_query_arrays())
-def test_batched_search_matches_scalar_from_every_start(data):
+@given(arrays_and_query_arrays(), st.integers(1, 6))
+def test_batched_search_matches_scalar_from_every_start(data, log_first):
     A, qs = data
     qs = key_queries(A, qs)[0]
     starts = np.repeat(np.arange(A.n + 1), len(qs))
@@ -325,6 +398,11 @@ def test_batched_search_matches_scalar_from_every_start(data):
     scalar = [exponential_search(A, int(i), q) for i, q in zip(starts, lanes)]
     assert ranks.tolist() == [out.rank for out in scalar]
     assert comparisons.tolist() == [out.comparisons for out in scalar]
+    # The lookups' kernel from a larger first step, lane by lane.
+    first = 2**log_first
+    ranks, comparisons = _gallop_many(A.keys, starts, lanes, first)
+    scalar = [_gallop(A._probe[0], i, q, 0, first) for i, q in zip(starts.tolist(), lanes.tolist())]
+    assert list(zip(ranks.tolist(), comparisons.tolist())) == scalar
 
 
 @given(key_arrays, st.integers(1, 80))

@@ -181,14 +181,15 @@ class TestExponentialSearchMany:
                 exponential_search_many(A, [0], qs)
 
 
-def _reference_gallop(keys, i, q, comparisons):
-    """The galloping loop as it was before its brackets were bisected in C."""
+def _reference_gallop(keys, i, q, comparisons, first=1):
+    """The galloping loop as it was before its brackets were bisected in C, doubling from
+    ``first``."""
     n = len(keys)
     go_right = False
     if i < n:
         comparisons += 1
         go_right = keys[i] <= q
-    step = 1
+    step = first
     if go_right:
         lo, hi = i + 1, n
         while i + step < n:
@@ -238,10 +239,13 @@ def _tied_probe_views():
 
 class TestGallopKernel:
     def test_matches_the_reference_loop_from_every_start(self):
+        # First steps 1 (the public search), 2 and 8 (K = n/log2 n at n = 10^6).
         for keys, queries in _tied_probe_views():
             for i in range(len(keys) + 1):
                 for q in queries:
-                    assert _gallop(keys, i, q, 3) == _reference_gallop(keys, i, q, 3), (i, q)
+                    for first in (1, 2, 8):
+                        got = _gallop(keys, i, q, 3, first)
+                        assert got == _reference_gallop(keys, i, q, 3, first), (i, q, first)
 
     def test_perfect_bracket_costs_t_probes(self):
         # The fact the C bisection relies on: every path through 2^t - 1 keys probes t.
