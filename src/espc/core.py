@@ -150,48 +150,44 @@ def rank_bruteforce(A: KeyArray, q) -> Rank:
 
     This is the definitional oracle; ties are counted (rank of a
     duplicated key includes every copy).  Always in [0, n] and
-    non-decreasing in ``q``.  On float keys a query is its float64
-    (:func:`_float`); on integer keys it is compared exactly.  A query that does not
-    compare with numbers raises InvalidParams.
+    non-decreasing in ``q``.  The query is read by :func:`_query`, as every
+    scalar lookup reads it: on integer keys it is then compared exactly.
     """
+    q = _query(q, A._probe[2])
     if A.mode == INT_MODE:
         # numpy would compare in float64, rounding keys above 2^53; an integer
         # key is <= q exactly when it is <= floor(q), so clamp, floor, compare.
-        if isinstance(q, (float, np.floating)):
+        if isinstance(q, float):
             q = math.floor(min(q, 2.0**64)) if q >= 0 else -1  # NaN counts as below
-        if _comparable(q) < 0:
+        if q < 0:
             return 0
         if q > _UINT64_MAX:
             return A.n
         q = np.uint64(q)
-    else:
-        q = _float(q)
     return int(np.count_nonzero(A.keys <= q))
 
 
-def _float(q) -> float:
-    """``q`` as float keys read it, as numpy does: float(q), an int past float64 an infinity.
-    A ``q`` that float() refuses, such as None, ``1j`` or ``"x"``, raises InvalidParams."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
-    except (TypeError, ValueError) as exc:
-        raise _not_a_number(q) from exc
+def _query(q, first=0.0):
+    """The scalar query ``q`` as it meets keys whose first key is ``first``.
 
-
-def _comparable(q):
-    """``q``, which integer keys compare as it is given, if it compares with numbers; a
-    ``q`` that does not, such as None, ``1j`` or ``"x"``, raises InvalidParams."""
-    try:
-        q < 0
-    except TypeError:
-        raise _not_a_number(q) from None
-    return q
-
-
-def _not_a_number(q) -> InvalidParams:
-    return InvalidParams(f"query {q!r} is not a number")
+    On float keys (a float ``first``), and for any numpy float, it is ``float(q)``,
+    as numpy reads it, with an int past float64 an infinity.  Integer keys compare a
+    Python or numpy integer, or another ``numbers.Real`` such as a ``Fraction``, as
+    it is given, and a numpy bool as the int it is.  Anything else, such as None,
+    ``1j``, ``"x"``, or on integer keys a ``Decimal``, raises InvalidParams.
+    """
+    if type(first) is float or isinstance(q, np.floating):
+        try:
+            return float(q)
+        except OverflowError:
+            return math.inf if q > 0 else -math.inf
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(q, (int, np.integer)) or isinstance(q, numbers.Real):  # ints skip the ABC
+        return q
+    elif isinstance(q, np.bool_):
+        return int(q)
+    raise InvalidParams(f"query {q!r} is not a number")
 
 
 def _integer(value, least: int, most, error: type, what: str) -> int:
@@ -203,11 +199,11 @@ def _integer(value, least: int, most, error: type, what: str) -> int:
 
 
 def _real(value, least, most, error: type, what: str, closed: bool = False) -> float:
-    """``value`` as a float (:func:`_float`) for a real number, not a bool, in (least, most),
+    """``value`` as a float (:func:`_query`) for a real number, not a bool, in (least, most),
     or in [least, most] when ``closed``; else ``error``, "<what> must be a real number in
     (...), got <value>".  NaN lies in no range."""
     if isinstance(value, numbers.Real) and type(value) is not bool:
-        x = _float(value)
+        x = _query(value)
         if (least <= x <= most) if closed else (least < x < most):
             return x
     left, right = "[]" if closed else "()"
@@ -256,6 +252,8 @@ def key_queries(A: KeyArray, queries) -> tuple[np.ndarray, np.ndarray, np.ndarra
         values = q.astype(np.float64, copy=False)
         return values, ~(values >= lo), values > hi
     if q.dtype.kind in "biu":
+        if q.dtype.kind == "b":  # numpy 2 cannot compare a bool array with an int past int64
+            q = q.astype(np.uint64)
         under = q < lo
         return np.where(under, 0, q).astype(np.uint64), under, q > hi
     if isinstance(queries, (list, tuple)):  # numpy rounds [-1, 2**63 + 5]

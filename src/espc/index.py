@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray, _comparable, _float, _integer, _real, key_queries
+from .core import KeyArray, _integer, _query, _real, key_queries
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -90,7 +90,8 @@ class EspcIndex:
     scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields; a ``t``
     that is not a 1-D uint32 array, an ``n`` not an integer in [1, MAX_KEYS], an
     ``x_first`` or ``x_last`` not a finite real number, or a ``shift`` not a real number
-    in (-inf, x_first), raises InvalidParams, an empty ``t`` InvalidK.  Instances are
+    in (-inf, x_first) on which g is defined and increasing up to x_last
+    (:func:`_shift_ok`), raises InvalidParams, an empty ``t`` InvalidK.  Instances are
     immutable and safe for concurrent lookups.  They pickle and deep-copy as their
     fields, and the copy derives its record again.
     """
@@ -117,6 +118,9 @@ class EspcIndex:
         _real(self.x_last, -math.inf, math.inf, InvalidParams, "x_last")
         if self.shift is not None:
             _real(self.shift, -math.inf, self.x_first, InvalidParams, "shift")
+            if not _shift_ok(self.x_first, self.x_last, self.shift):
+                raise InvalidParams(f"shift {self.shift!r} leaves g undefined or not increasing "
+                                    f"on [{self.x_first!r}, {self.x_last!r}]")
         k = _integer(len(t), 1, math.inf, InvalidK, "interval count len(t)")
         delta = _span(self.x_first, self.x_last, self.shift) / k  # as _cell_counts divides
         base = None if self.shift is None else _bits(self.x_first - self.shift)
@@ -313,7 +317,7 @@ def locate_interval(idx: EspcIndex, q) -> int:
     Raises:
         OutOfRange: q outside [x_first, x_last], or NaN.
     """
-    qf = _float(q)
+    qf = _query(q)
     if not idx.x_first <= qf <= idx.x_last:  # NaN fails this too
         raise OutOfRange(f"{q!r} outside [{idx.x_first}, {idx.x_last}]")
     return _lookup(idx._record, None, qf, 0)
@@ -325,7 +329,7 @@ def predict(idx: EspcIndex, q) -> float:
     Exact (0 or n) outside the key range; the stored interval estimate
     otherwise.  Non-decreasing in q.
     """
-    qf = _float(q)
+    qf = _query(q)
     if qf < idx.x_first:
         return 0.0
     if qf > idx.x_last:
@@ -381,19 +385,22 @@ def evaluate_rank(idx: EspcIndex, A: KeyArray, q) -> SearchOutcome:
     """
     keys, n, lo, hi, lo_f, hi_f = A._probe
     if type(q) is not float:
-        if type(lo) is float or isinstance(q, np.floating):
-            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
-        elif not isinstance(q, (int, np.integer)):
-            _comparable(q)  # integer keys compare any other query as it is given
+        q = _query(q, lo)
     if idx.n != n or idx.x_first != lo_f or idx.x_last != hi_f:
         raise _mismatch(idx.n, A)
     if not lo <= q <= hi:
-        if q < lo:
-            return tuple.__new__(SearchOutcome, (0, 1))
-        if q > hi:
-            return tuple.__new__(SearchOutcome, (n, 2))
-        raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
+        return _outside(q, lo, n)
     return tuple.__new__(SearchOutcome, _lookup(idx._record, keys, q, 2))
+
+
+def _outside(q, lo, n: int) -> SearchOutcome:
+    """The outcome of a query outside the keys [lo, hi]: rank 0 after 1 comparison below
+    them, n after 2 above them; a NaN, which compares false both ways, raises OutOfRange."""
+    if q < lo:
+        return tuple.__new__(SearchOutcome, (0, 1))
+    if q > lo:  # so above hi, as q is outside
+        return tuple.__new__(SearchOutcome, (n, 2))
+    raise OutOfRange("NaN query has no rank")
 
 
 def _mismatch(built_n: int, A: KeyArray) -> IndexMismatch:
@@ -558,18 +565,11 @@ def evaluate_rank_hier(h: HierIndex, A: KeyArray, q) -> SearchOutcome:
     view, top, last, k, built_n, first_f, last_at, depth, span = h._record
     keys, n, lo, hi, lo_f, _ = A._probe
     if type(q) is not float:
-        if type(lo) is float or isinstance(q, np.floating):
-            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
-        elif not isinstance(q, (int, np.integer)):
-            _comparable(q)  # integer keys compare any other query as it is given
+        q = _query(q, lo)
     if built_n != n or first_f != lo_f or keys[last_at] != last:  # the bracket trusts them
         raise _mismatch(built_n, A)
     if not lo <= q <= hi:
-        if q < lo:
-            return tuple.__new__(SearchOutcome, (0, 1))
-        if q > hi:
-            return tuple.__new__(SearchOutcome, (n, 2))
-        raise OutOfRange("NaN query has no rank")  # NaN compares false both ways
+        return _outside(q, lo, n)
     # The top layer counts its own two range checks; q >= boundaries[0] == x_min.
     bucket, comparisons = (k, 4) if q > last else _lookup(top, view, q, 4)
     first = 1 - (1 - bucket) * n // k  # p_{b-1} + 1 = 1 + ceil((b - 1) * n / K)

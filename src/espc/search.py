@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import KeyArray, Rank, _comparable, _float, _integer
+from .core import KeyArray, Rank, _integer, _query
 from .errors import InvalidParams, StartOutOfRange
 
 
@@ -44,10 +44,7 @@ def binary_search_rank(A: KeyArray, q) -> SearchOutcome:
     """
     keys, n, lo = A._probe[:3]
     if type(q) is not float:
-        if type(lo) is float or isinstance(q, np.floating):
-            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
-        elif not isinstance(q, (int, np.integer)):
-            _comparable(q)  # integer keys compare any other query as it is given
+        q = _query(q, lo)
     return tuple.__new__(SearchOutcome, _bisect(keys, 0, n, q, 0))
 
 
@@ -66,10 +63,7 @@ def exponential_search(A: KeyArray, i: int, q) -> SearchOutcome:
     keys, n, lo = A._probe[:3]
     i = _integer(i, 0, n, StartOutOfRange, "start")
     if type(q) is not float:
-        if type(lo) is float or isinstance(q, np.floating):
-            q = _float(q)  # as float keys read it; an integer key meets a numpy float in float64
-        elif not isinstance(q, (int, np.integer)):
-            _comparable(q)  # integer keys compare any other query as it is given
+        q = _query(q, lo)
     return tuple.__new__(SearchOutcome, _gallop(keys, i, q, 0))
 
 

@@ -11,7 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from espc.core import FLOAT_MODE, INT_MODE, KeyArray, rank_bruteforce, validate_key_array
+from espc.core import (
+    FLOAT_MODE,
+    INT_MODE,
+    KeyArray,
+    exact_ranks,
+    rank_bruteforce,
+    validate_key_array,
+)
 from espc.errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -439,6 +446,11 @@ class TestEvaluateRankMany:
         # A list that float64 holds exactly still matches the scalar lookup.
         ranks, _ = evaluate_rank_many(idx, A, [-1, 2**63])
         assert ranks.tolist() == [evaluate_rank(idx, A, q).rank for q in (-1, 2**63)] == [0, 1]
+        # A bool array, which numpy 2 cannot compare with 2^63 + 5, reads as the ints it is.
+        qs = np.array([True, False])
+        ranks, _ = evaluate_rank_many(idx, A, qs)
+        assert ranks.tolist() == exact_ranks(A, qs).tolist() == [1, 0]
+        assert ranks.tolist() == [evaluate_rank(idx, A, q).rank for q in qs]
 
     def test_float_keys_read_a_list_as_its_float64(self):
         # Only integer keys refuse this list, which numpy makes float64.
@@ -732,8 +744,13 @@ class TestLogScaleCells:
             # Cells of a few units of g: the scalar rule rounds g exactly as numpy does.
             hi = float(values.max())
             k = 2**50
-            idx = EspcIndex(x_first=lo, x_last=hi, n=1, shift=shift,  # locating reads no slot
-                            t=np.broadcast_to(np.uint32(0), k))  # k cells, not allocated
+            fields = dict(x_first=lo, x_last=hi, n=1, shift=shift,  # locating reads no slot
+                          t=np.broadcast_to(np.uint32(0), k))  # k cells, not allocated
+            if hi - shift == math.inf:  # -1e307: an index refuses a g past float64
+                with pytest.raises(InvalidParams, match="leaves g undefined"):
+                    EspcIndex(**fields)
+                continue
+            idx = EspcIndex(**fields)
             assert idx.delta == _span(lo, hi, shift) / k
             cells = assign_intervals(values, lo, idx.delta, k, shift)
             assert cells.tolist() == [locate_interval(idx, v) for v in values.tolist()]
@@ -802,3 +819,5 @@ class TestLogScaleCells:
         struct.pack_into("<d", blob, 5 + 16 + 16, shift)  # -1e308: x_last - shift overflows
         with pytest.raises(InvalidIndexFile):
             deserialize_index(bytes(blob))
+        with pytest.raises(InvalidParams):  # so does the constructor, before predict_many warns
+            EspcIndex(x_first=idx.x_first, x_last=idx.x_last, n=idx.n, t=idx.t, shift=shift)

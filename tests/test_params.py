@@ -13,6 +13,7 @@ import inspect
 import math
 import re
 import typing
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,42 @@ class TestScalarQueries:
         for q in (None, 1j, "x", [0.5]):
             with pytest.raises(InvalidParams, match="is not a number"):
                 self.CALLS[path](q)
+
+    KEYS = {
+        "float": validate_key_array([0.0, 1.0, 2.0, 3.0, 10.0], FLOAT_MODE),
+        "int": validate_key_array([0, 1, 2, 3, 10], INT_MODE),
+        "int_past_int64": validate_key_array([0, 1, 2, 3, 2**63 + 5], INT_MODE),
+    }
+    QUERIES = {"np.True_": np.True_, "np.False_": np.False_, "True": True,
+               "Decimal": Decimal("2.5"), "Fraction": Fraction(5, 2),
+               "float16": np.float16(2.5), "float32": np.float32(0.1), "int8": np.int8(2)}
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("keys", sorted(KEYS))
+    def test_every_path_gives_the_oracle_answer(self, keys, query):
+        # A Decimal is no numbers.Real, so integer keys refuse it; float keys read float(q).
+        A, q = self.KEYS[keys], self.QUERIES[query]
+        idx, hier = build_espc(A, 3), build_equal_probability(A, 2, 1)
+        paths = (lambda: rank_bruteforce(A, q), lambda: evaluate_rank(idx, A, q).rank,
+                 lambda: evaluate_rank_hier(hier, A, q).rank,
+                 lambda: binary_search_rank(A, q).rank, lambda: exponential_search(A, 2, q).rank)
+        answers = []
+        for path in paths:
+            try:
+                answers.append(path())
+            except InvalidParams as exc:
+                answers.append(str(exc))
+        assert answers == [answers[0]] * len(paths)
+        assert (answers[0] == f"query {q!r} is not a number") == (query == "Decimal"
+                                                                  and keys != "float")
+
+    def test_every_exported_scalar_query_path_has_a_call(self):
+        # By parameter name, since q has no annotation.
+        found = {name for name in dir(espc) if not name.startswith("_")
+                 and inspect.isfunction(getattr(espc, name))
+                 and "q" in inspect.signature(getattr(espc, name)).parameters}
+        assert found >= {"evaluate_rank", "rank_bruteforce"}  # the walk sees them
+        assert found - set(self.CALLS) == set(), "add a CALLS entry for each new scalar query path"
 
     def test_integer_keys_compare_a_fraction_exactly(self):
         # 2^60 + 1 has no float64; the refusal of non-numbers must not round it.
