@@ -174,15 +174,19 @@ def _query(q, first=0.0):
     as numpy reads it, with an int past float64 an infinity.  Integer keys compare a
     Python or numpy integer, or another ``numbers.Real`` such as a ``Fraction``, as
     it is given, and a numpy bool as the int it is.  Anything else, such as None,
-    ``1j``, ``"x"``, or on integer keys a ``Decimal``, raises InvalidParams.
+    ``1j``, ``np.complex128(0.5)``, ``"0.5"``, ``b"0.5"``, or on integer keys a
+    ``Decimal``, raises InvalidParams.
     """
+    if isinstance(q, float):  # first, for the Python and numpy float64 queries of a lookup
+        return float(q)
     if type(first) is float or isinstance(q, np.floating):
-        try:
-            return float(q)
-        except OverflowError:
-            return math.inf if q > 0 else -math.inf
-        except (TypeError, ValueError):
-            pass
+        if not isinstance(q, (str, bytes, bytearray, np.complexfloating)):  # float() reads them
+            try:
+                return float(q)
+            except OverflowError:
+                return math.inf if q > 0 else -math.inf
+            except (TypeError, ValueError):
+                pass
     elif isinstance(q, (int, np.integer)) or isinstance(q, numbers.Real):  # ints skip the ABC
         return q
     elif isinstance(q, np.bool_):

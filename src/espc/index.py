@@ -7,7 +7,9 @@ sample of the keys shows it spreads them much more evenly, a log-like
 transform (:func:`_choose_shift`).  A lookup locates its interval with one
 division, reads the stored estimate, and corrects it to the exact rank with
 an exponential search over the keys themselves, so ranks are exact whatever
-g is.  Build cost is O(K + min(n, K log n)); lookup cost is O(log error + log(n/K)),
+g is.  A build predicts each cell's start with one binary search of its lower edge
+and proves it with the cell rule at the two keys around it, O(K log n), where that is
+cheaper than one O(n + K) pass over every key.  Lookup cost is O(log error + log(n/K)),
 as the search doubles from a first step of about n/(2K), which is 1 at K = n, where
 the cost is O(log error) and O(1) expected.
 
@@ -203,12 +205,52 @@ def _lookup(record: tuple, keys, q, comparisons: int):
 def _cell_starts(keys: np.ndarray, lo: float, step: float, k: int, shift=None) -> np.ndarray:
     """Position of the first of the sorted ``keys`` in or past each of cells 2, ..., k.
 
-    All cells are bisected in lockstep over ceil(log2 n) rounds, each applying
-    :func:`assign_intervals` to one probed key per cell, so the rule decides
-    where a cell starts, not a computed boundary value.
+    Predict, then prove.  One ``np.searchsorted`` of each cell's lower edge in x guesses
+    its start, about log2 n probes a cell, and :func:`_proved_starts` proves each guess
+    with :func:`assign_intervals` or replaces it, so the rule decides every start, not
+    the computed edge.
     """
+    with np.errstate(all="ignore"):  # an edge past float64 or the keys' dtype is only a bad guess
+        edges = np.arange(1, k, dtype=np.float64)
+        edges *= step
+        if shift is None:
+            edges += lo
+        else:  # β(x - shift) = β(lo - shift) + (j - 1) * step at the lower edge of cell j
+            raw = np.floor(edges).astype(np.int64)
+            raw += _bits(lo - shift)
+            edges = raw.view(np.float64) + shift
+        if keys.dtype != edges.dtype:  # else numpy compares in float64, converting every key
+            edges = edges.astype(keys.dtype)
+    return _proved_starts(keys, np.searchsorted(keys, edges, side="right"), lo, step, k, shift)
+
+
+def _proved_starts(keys: np.ndarray, starts: np.ndarray, lo: float, step: float, k: int,
+                   shift=None) -> np.ndarray:
+    """The guessed ``starts`` of cells 2, ..., k, each proved or replaced, in place.
+
+    s is the start of cell j exactly when the key before s lies in a cell below j and the
+    key at s in j or past it (no key, at s = 0 or n), as the rule is non-decreasing over
+    sorted keys; so only the right guess is proved.  The cells whose guess fails are
+    bisected (:func:`_bisect_starts`).
+    """
+    n = len(keys)
     cells = np.arange(2, k + 1)
-    base = np.zeros(k - 1, dtype=np.int64)
+    before = assign_intervals(keys[starts - 1], lo, step, k, shift)  # keys[-1] where s = 0
+    at = assign_intervals(keys[starts.clip(max=n - 1)], lo, step, k, shift)
+    wrong = np.flatnonzero((before >= cells) & (starts > 0) | (at < cells) & (starts < n))
+    if wrong.size:
+        starts[wrong] = _bisect_starts(keys, cells[wrong], lo, step, k, shift)
+    return starts
+
+
+def _bisect_starts(keys: np.ndarray, cells: np.ndarray, lo: float, step: float, k: int,
+                   shift=None) -> np.ndarray:
+    """The starts of the given ``cells``, bisected blind over every key.
+
+    All cells are bisected in lockstep over ceil(log2 n) rounds, each applying
+    :func:`assign_intervals` to one probed key per cell.
+    """
+    base = np.zeros(len(cells), dtype=np.int64)
     size = len(keys)
     while size > 1:  # each answer lies in [base, base + size]
         half = size // 2
@@ -223,8 +265,8 @@ def _cell_counts(
 ) -> np.ndarray:
     """Counts of the sorted ``keys`` in ``k`` cells of [lo, hi] equal in g.
 
-    Each key is in the cell :func:`assign_intervals` gives it; cell starts are bisected
-    for (:func:`_cell_starts`) where that is cheaper than one pass over every key.
+    Each key is in the cell :func:`assign_intervals` gives it; cell starts are guessed and
+    proved (:func:`_cell_starts`) where that is cheaper than one pass over every key.
     [lo, lo] is one cell of length 0.  Raises InvalidK as :func:`build_espc` does, so
     for more than max(:data:`CELL_LIMIT`, n) cells before allocating any.
     """
@@ -236,10 +278,11 @@ def _cell_counts(
     if not 0.0 < step < math.inf:
         raise InvalidK(f"{k} intervals over [{lo}, {hi}] have length {step}")
     try:
-        # A bisection round costs about 1000 probes in numpy call overhead, and a probe
-        # about what a key costs in the full pass (numpy 2, 2 vCPUs): bisect where that
-        # comes to at most half the pass, so small arrays keep the pass.
-        if 2 * n.bit_length() * (k + 1024) < n:
+        # Guessing and proving the starts costs about log2 n probes a cell, each at most
+        # about 2/3 of what a key costs in the pass over every key, and a fixed 30-40 us
+        # for the calls, counted as 1024 cells more (numpy 2, 2 vCPUs).  Guess where that
+        # comes to less than the pass, so K near n and arrays below about 10^4 keys pass.
+        if 2 * n.bit_length() * (k + 1024) < 3 * n:
             return np.diff(_cell_starts(keys, lo, step, k, shift), prepend=0, append=n)
         return np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:]
     except (MemoryError, ValueError, OverflowError) as exc:  # too many cells to allocate
@@ -283,7 +326,7 @@ def build_espc(A: KeyArray, k: int) -> EspcIndex:
     single interval with estimate n/2.
 
     Memory: the key pass's temporaries (n-sized in :func:`assign_intervals`,
-    or K-sized when cell starts are bisected), then the int64 counts, turned
+    or K-sized when cell starts are predicted), then the int64 counts, turned
     into running counts c in place, and one uint32 slot array
     t_k = c_{k-1} + c_k, about (8 + 4)K bytes at the peak for K >= n.
 

@@ -54,7 +54,7 @@ from espc.index import (
     save_index,
     serialize_index,
 )
-from espc.index import _bits, _choose_shift, _span
+from espc.index import _bisect_starts, _bits, _cell_starts, _choose_shift, _span
 from espc.search import binary_search_rank, exponential_search
 
 
@@ -138,6 +138,49 @@ class TestBuild:
             np.testing.assert_allclose(idx.r, before + counts / 2.0)
             assert np.all(np.diff(idx.r) >= 0)
             assert idx.r[0] >= 0 and idx.r[-1] <= n
+
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal"])
+    def test_guessed_cell_starts_rarely_need_bisection(self, kind, monkeypatch):
+        # At K = ceil(n/log2 n) the build guesses each cell's start from its edge, and at
+        # most 1% of the guesses may fail the cell rule and be bisected blind.
+        n = 10**5
+        rng = np.random.default_rng(27)
+        raw = rng.random(n) if kind == "uniform" else rng.lognormal(0.0, 2.0, n)
+        A = validate_key_array(raw, FLOAT_MODE)
+        k = math.ceil(n / math.log2(n))
+        guessed, bisected = [], []
+
+        def guess(keys, *args):
+            guessed.append(len(keys))
+            return _cell_starts(keys, *args)
+
+        def bisect(keys, cells, *args):
+            bisected.append(len(cells))
+            return _bisect_starts(keys, cells, *args)
+
+        monkeypatch.setattr("espc.index._cell_starts", guess)
+        monkeypatch.setattr("espc.index._bisect_starts", bisect)
+        idx = build_espc(A, k)
+        assert (idx.shift is not None) == (kind == "lognormal")
+        assert guessed == [n]  # the scale's 4 096-key sample is counted in one pass
+        assert sum(bisected) <= 0.01 * (k - 1)
+        counts = np.bincount(assign_intervals(A.keys, idx.x_first, idx.delta, k, idx.shift),
+                             minlength=k + 1)[1:]
+        c = np.cumsum(counts)
+        assert idx.t.tobytes() == (c + np.concatenate(([0], c[:-1]))).astype(np.uint32).tobytes()
+
+    def test_small_arrays_count_their_keys_in_one_pass(self, monkeypatch):
+        # Criterion 2's arrays of 1 to 12 keys, at every K up to n: a guess's fixed cost
+        # would exceed the pass over so few keys.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a small build searched for its cell starts")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        rng = np.random.default_rng(302)
+        for n in range(1, 13):
+            A = validate_key_array(rng.random(n), FLOAT_MODE)
+            for k in range(1, n + 1):
+                assert build_espc(A, k).K == (1 if n == 1 else k)
 
     def test_large_k_build_peaks_below_13_bytes_per_cell(self):
         A = validate_key_array(np.random.default_rng(22).random(2_000), FLOAT_MODE)

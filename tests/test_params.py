@@ -13,6 +13,7 @@ import inspect
 import math
 import re
 import typing
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -274,9 +275,13 @@ class TestScalarQueries:
 
     @pytest.mark.parametrize("path", sorted(CALLS))
     def test_a_query_that_is_not_a_number_raises_invalid_params(self, path):
-        for q in (None, 1j, "x", [0.5]):
-            with pytest.raises(InvalidParams, match="is not a number"):
-                self.CALLS[path](q)
+        # float() reads "0.5", b"0.5" and, with a ComplexWarning, np.complex128(0.5).
+        for q in (None, 1j, "x", [0.5], "0.5", np.str_("0.5"), b"0.5", bytearray(b"0.5"),
+                  np.complex128(0.5), np.complex64(0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParams, match="is not a number"):
+                    self.CALLS[path](q)
 
     KEYS = {
         "float": validate_key_array([0.0, 1.0, 2.0, 3.0, 10.0], FLOAT_MODE),

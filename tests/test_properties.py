@@ -16,11 +16,12 @@ The batched lookup equals the scalar one, rank and comparisons, on query
 arrays of float64 (either key mode) and uint64 (integer keys).  The cell
 probabilities are the occupancies the index's slots encode, and the slots
 are byte for byte the keys before each cell plus half those in it, on both
-sides of the bisection switch.  Validation
+sides of the guessing switch.  Validation
 sorts keys as a stable sort does, bit for bit unless -0.0 and +0.0 tie.  A
 histogram density is positive at every key it was fitted to, and its
-heights are the counts of its bins as index cells.  Counting sorted keys by
-bisection gives the counts of one pass over every key, the
+heights are the counts of its bins as index cells.  Counting sorted keys from
+guessed cell starts gives the counts of one pass over every key, as the cell
+rule proves exactly the right guesses and the bisection replaces the rest; the
 Freedman-Diaconis width reads the quartiles numpy computes, and the density
 norm is the mean of either fitted density over every key.  On heavy-tailed
 keys above the size floor, whose cells are cut on a log scale, every lookup
@@ -32,6 +33,7 @@ floor the cells stay equal in x.
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,9 +56,13 @@ from espc.errors import (
     InvalidWidth,
 )
 from espc.index import (
+    _SHIFT_FRACTIONS,
     SHIFT_FLOOR,
+    _bisect_starts,
     _cell_counts,
     _cell_starts,
+    _proved_starts,
+    _shift_ok,
     _span,
     assign_intervals,
     build_equal_probability,
@@ -449,12 +455,12 @@ def test_cell_probabilities_are_the_slot_occupancies(A, k):
     assert partition_probabilities(A, a, b, k).p.tobytes() == expected.tobytes()
 
 
-_LARGE_N = 40_000  # _cell_counts bisects these keys for K <= 225 and makes one pass above
+_LARGE_N = 40_000  # _cell_counts guesses these keys' cell starts for K <= 2 725, one pass above
 
 
 @st.composite
 def keys_and_slot_counts(draw):
-    """Keys with ties (all equal among them) and a K on either side of the bisection switch."""
+    """Keys with ties (all equal among them) and a K on either side of the guessing switch."""
     if draw(st.booleans()):
         return draw(key_arrays), draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -464,8 +470,8 @@ def keys_and_slot_counts(draw):
     else:
         raw = rng.random(_LARGE_N)
     bisect = draw(st.booleans())
-    k = draw(st.integers(1, 225) if bisect else st.integers(226, _LARGE_N))
-    assert (2 * _LARGE_N.bit_length() * (k + 1024) < _LARGE_N) == bisect  # the switch's rule
+    k = draw(st.integers(1, 2725) if bisect else st.integers(2726, _LARGE_N))
+    assert (2 * _LARGE_N.bit_length() * (k + 1024) < 3 * _LARGE_N) == bisect  # the switch's rule
     return validate_key_array(raw, FLOAT_MODE), k
 
 
@@ -473,8 +479,8 @@ _SWITCH_KEYS = validate_key_array(np.random.default_rng(23).random(_LARGE_N), FL
 
 
 @example((validate_key_array([0.25] * 7, FLOAT_MODE), 5))  # one cell of length 0
-@example((_SWITCH_KEYS, 225))
-@example((_SWITCH_KEYS, 226))
+@example((_SWITCH_KEYS, 2725))
+@example((_SWITCH_KEYS, 2726))
 @given(keys_and_slot_counts())
 def test_slots_are_the_counts_before_plus_half(case):
     A, k = case
@@ -555,6 +561,50 @@ def test_bisection_counts_equal_one_pass_over_every_key(A, k, pad):
         assert bisected.tobytes() == expected.tobytes()
 
 
+# Keys whose guessed starts fail: runs of equal keys on the cell edges j/m of [0, 1],
+# -0.0 next to +0.0, and integer keys near 2^64, where float64 steps by 2 048 or 4 096.
+_edge_keys = st.one_of(
+    _sortable_keys,
+    st.tuples(st.integers(1, 60), st.integers(1, 20)).map(
+        lambda mr: validate_key_array(np.repeat(np.arange(mr[0] + 1) / mr[0], mr[1]), FLOAT_MODE)
+    ),
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2, max_size=300).map(
+        lambda keys: validate_key_array(keys, FLOAT_MODE)
+    ),
+    st.lists(st.integers(_U64_MAX - 2**17, _U64_MAX), min_size=2, max_size=300).map(
+        lambda keys: validate_key_array(keys, INT_MODE)
+    ),
+)
+
+
+@given(_edge_keys, st.integers(1, 300), st.floats(0.0, 2.0),
+       st.sampled_from((None,) + _SHIFT_FRACTIONS), st.integers(0, 2**32))
+def test_the_cell_rule_proves_exactly_the_right_guesses(A, k, pad, fraction, seed):
+    keys, n = A.keys, A.n
+    lo, hi = float(keys[0]), float(keys[-1])
+    top = hi + pad * (hi - lo)  # histogram_density may widen the last cell past x_max
+    shift = None if fraction is None else lo - fraction * (hi - lo)  # a log scale, as built
+    hypothesis.assume(lo < hi and math.isfinite(top))
+    hypothesis.assume(shift is None or _shift_ok(lo, top, shift))
+    step = _span(lo, top, shift) / k
+    hypothesis.assume(0.0 < step < math.inf)
+    one_pass = np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:]
+    truth = np.cumsum(one_pass)[:-1]
+    rng = np.random.default_rng(seed)  # each start moved by up to 3, or drawn from [0, n]
+    near = truth + rng.integers(-3, 4, k - 1)
+    guesses = np.where(rng.random(k - 1) < 0.5, near, rng.integers(0, n + 1, k - 1)).clip(0, n)
+    with mock.patch("espc.index._bisect_starts", wraps=_bisect_starts) as bisect:
+        proved = _proved_starts(keys, guesses.copy(), lo, step, k, shift)
+    wrong = np.flatnonzero(guesses != truth)
+    if wrong.size:  # the lanes bisected are the wrong guesses, and only they
+        assert bisect.call_args.args[1].tolist() == (wrong + 2).tolist()
+    else:
+        assert not bisect.called
+    assert np.diff(proved, prepend=0, append=n).tobytes() == one_pass.tobytes()
+    predicted = _cell_starts(keys, lo, step, k, shift)
+    assert np.diff(predicted, prepend=0, append=n).tobytes() == one_pass.tobytes()
+
+
 @pytest.mark.parametrize("kind", ["uniform", "pooled", "offset"])
 def test_counts_agree_on_both_sides_of_the_bisection_switch(kind, monkeypatch):
     rng = np.random.default_rng(11)
@@ -566,19 +616,21 @@ def test_counts_agree_on_both_sides_of_the_bisection_switch(kind, monkeypatch):
     }[kind]
     keys = validate_key_array(raw, FLOAT_MODE).keys
     lo, hi = float(keys[0]), float(keys[-1])
-    bisected = []
+    guessed = []
 
     def counted(*args):
-        bisected.append(k)
+        guessed.append(k)
         return _cell_starts(*args)
 
     monkeypatch.setattr("espc.index._cell_starts", counted)
-    for k in (1, 2, 50, 200, 400, 3000, n):
+    ks = (1, 2, 50, 400, 2725, 2726, 3000, n)
+    for k in ks:
         for top in (hi, hi + 0.37 * (hi - lo)):  # a histogram's last cell may pass x_max
             step = (top - lo) / k
             expected = np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:]
             assert _cell_counts(keys, lo, top, k).tobytes() == expected.tobytes()
-    assert 1 in bisected and n not in bisected  # both sides of the switch ran
+    # Guessed where 2 bit_length(n) (K + 1024) < 3n, both sides of the switch.
+    assert sorted(set(guessed)) == [1, 2, 50, 400, 2725]
 
 
 @given(_sortable_keys)
