@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .core import FLOAT_MODE, KeyArray, _integer, exact_ranks, validate_key_array
+from .core import FLOAT_MODE, KeyArray, _instance, _integer, exact_ranks, validate_key_array
 from .data import DatasetSpec, FILE, generate, rescale_unit, subsample
 from .errors import InvalidK, InvalidParams
 from .index import HEADER_BYTES, SLOT_BYTES, EspcIndex, evaluate_rank_many, predict_many
 from .index import _build, _choose_shift
-from .stats import HISTOGRAM, error_bound_query_dist, error_bound_rho, estimate_rho
+from .stats import HISTOGRAM, KERNEL, error_bound_query_dist, error_bound_rho, estimate_rho
 
 DEFAULT_K_GRID = (100, 1_000, 10_000, 100_000)
 PAPER_K_GRID = (1_000, 5_000, 10_000, 50_000, 100_000, 200_000)
@@ -40,8 +41,9 @@ class BenchConfig:
     ``query_dist`` is set the workload is drawn from that distribution
     instead of from the keys, and the bound uses both density norms.
     A ``k_grid`` that is not a tuple or list, or an entry that is not an integer >= 1,
-    raises InvalidK, and any other integer out of its range, or a grid that is empty or
-    not ascending, InvalidParams.
+    raises InvalidK, and any other integer out of its range, a grid that is empty or
+    not ascending, a field of another type than its annotation, or a ``rho_method``
+    other than histogram or kernel, InvalidParams.
     """
 
     dataset: DatasetSpec
@@ -52,9 +54,16 @@ class BenchConfig:
     rho_method: str = HISTOGRAM
     seed: int = 0
     rescale: bool = True
-    output: str | None = None
+    output: str | os.PathLike | None = None
 
     def __post_init__(self):
+        _instance(self.dataset, (DatasetSpec,), "dataset")
+        _instance(self.query_dist, (None, DatasetSpec), "query_dist")
+        if _instance(self.rho_method, (str,), "rho_method") not in (HISTOGRAM, KERNEL):
+            raise InvalidParams(f"rho_method must be {HISTOGRAM!r} or {KERNEL!r}, "
+                                f"got {self.rho_method!r}")
+        _instance(self.rescale, (bool,), "rescale")
+        _instance(self.output, (None, str, os.PathLike), "output")
         _integer(self.n_sub, 0, math.inf, InvalidParams, "n_sub")
         if not isinstance(self.k_grid, (tuple, list)):
             raise InvalidK(f"k_grid must be a tuple of integers, got {self.k_grid!r}")

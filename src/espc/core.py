@@ -202,6 +202,15 @@ def _integer(value, least: int, most, error: type, what: str) -> int:
     raise error(f"{what} must be an integer in [{least}, {most}], got {value!r}")
 
 
+def _instance(value, kinds: tuple, what: str):
+    """``value`` if it is an instance of one of ``kinds``, where None admits None itself;
+    else InvalidParams, "<what> must be <kinds>, got <value>"."""
+    if any(value is None if kind is None else isinstance(value, kind) for kind in kinds):
+        return value
+    names = " or ".join("None" if kind is None else kind.__name__ for kind in kinds)
+    raise InvalidParams(f"{what} must be {names}, got {value!r}")
+
+
 def _real(value, least, most, error: type, what: str, closed: bool = False) -> float:
     """``value`` as a float (:func:`_query`) for a real number, not a bool, in (least, most),
     or in [least, most] when ``closed``; else ``error``, "<what> must be a real number in

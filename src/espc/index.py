@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KeyArray, _integer, _query, _real, key_queries
+from .core import KeyArray, _instance, _integer, _query, _real, key_queries
 from .errors import (
     IndexMismatch,
     InvalidIndexFile,
@@ -91,11 +91,12 @@ class EspcIndex:
     ``float(β(x - shift) - β(x_first - shift))`` (:func:`_bits`), a log-like
     scale.  ``K = len(t)`` and ``delta = g(x_last)/K`` are derived, not fields; a ``t``
     that is not a 1-D uint32 array, an ``n`` not an integer in [1, MAX_KEYS], an
-    ``x_first`` or ``x_last`` not a finite real number, or a ``shift`` not a real number
+    ``x_first`` or ``x_last`` not a finite real number, a ``shift`` not a real number
     in (-inf, x_first) on which g is defined and increasing up to x_last
-    (:func:`_shift_ok`), raises InvalidParams, an empty ``t`` InvalidK.  Instances are
-    immutable and safe for concurrent lookups.  They pickle and deep-copy as their
-    fields, and the copy derives its record again.
+    (:func:`_shift_ok`), or a ``delta`` neither positive and finite nor 0 in one cell
+    over one point raises InvalidParams, an empty ``t`` InvalidK: the headers the loader
+    refuses.  Instances are immutable and safe for concurrent lookups.  They pickle and
+    deep-copy as their fields, and the copy derives its record again.
     """
 
     x_first: float
@@ -125,6 +126,9 @@ class EspcIndex:
                                     f"on [{self.x_first!r}, {self.x_last!r}]")
         k = _integer(len(t), 1, math.inf, InvalidK, "interval count len(t)")
         delta = _span(self.x_first, self.x_last, self.shift) / k  # as _cell_counts divides
+        if not (0.0 < delta < math.inf or delta == 0.0 and k == 1):  # a reversed range is < 0
+            raise InvalidParams(f"interval length {delta} does not split "
+                                f"[{self.x_first!r}, {self.x_last!r}] into K={k}")
         base = None if self.shift is None else _bits(self.x_first - self.shift)
         slots = memoryview(t).toreadonly()
         object.__setattr__(self, "K", k)
@@ -538,8 +542,9 @@ class HierIndex:
     keys[p_0], ..., keys[p_{K-1}] and resolves which bucket a query falls in.  The
     T = bit_length(ceil(n/K) - 1) probes that finish a lookup are fixed by n and K,
     so only the boundaries and the top index occupy space.  Instances pickle and
-    deep-copy as their fields, without their record.  A ``top`` not built over
-    ``boundaries`` raises IndexMismatch, an ``n`` that is not an integer >= K InvalidK.
+    deep-copy as their fields, without their record.  ``boundaries`` that are no
+    KeyArray or a ``top`` that is no EspcIndex raise InvalidParams, a ``top`` not built
+    over ``boundaries`` IndexMismatch, an ``n`` that is not an integer >= K InvalidK.
     """
 
     boundaries: KeyArray
@@ -555,6 +560,8 @@ class HierIndex:
         # n, x_first, p_{K-1}, T, S) of the boundaries, the top layer's record and the keys,
         # where S = 2^T - 1 is the least perfect bracket that holds a bucket's
         # ceil(n/K) - 1 unknown positions.
+        _instance(self.boundaries, (KeyArray,), "boundaries")
+        _instance(self.top, (EspcIndex,), "top")
         view, k, _, last, first_f, last_f = self.boundaries._probe
         top = self.top
         if top.n != k or top.x_first != first_f or top.x_last != last_f:
@@ -634,66 +641,55 @@ def serialize_index(idx: EspcIndex) -> bytes:
 
     An index cut on a log scale is written as ``ESPC3``, the same layout with its
     shift in place of delta, which the loader derives.  The layout is fixed at
-    HEADER_BYTES + SLOT_BYTES * K bytes and round-trips bit-exactly through
-    :func:`deserialize_index`.
+    HEADER_BYTES + SLOT_BYTES * K bytes, the header joined to the slots' buffer in one
+    copy, and round-trips bit-exactly through :func:`deserialize_index`.
     """
-    return _header(idx) + _slot_view(idx).tobytes()
-
-
-def _header(idx: EspcIndex) -> bytes:
     magic, last = (MAGIC, idx.delta) if idx.shift is None else (MAGIC_SHIFTED, idx.shift)
-    return magic + _HEADER.pack(idx.n, idx.K, idx.x_first, idx.x_last, last)
-
-
-def _slot_view(idx: EspcIndex) -> memoryview:
-    return memoryview(np.ascontiguousarray(idx.t, dtype="<u4"))
+    header = magic + _HEADER.pack(idx.n, idx.K, idx.x_first, idx.x_last, last)
+    return header + memoryview(np.ascontiguousarray(idx.t, dtype="<u4"))
 
 
 def deserialize_index(blob: bytes) -> EspcIndex:
-    """Inverse of :func:`serialize_index`.
+    """Inverse of :func:`serialize_index`: the :class:`EspcIndex` of its header and slots.
 
-    The slots must count a partition of the n keys: the running counts
-    c_k = t_k - c_{k-1}, from c_0 = 0, are non-decreasing and end at c_K = n.
+    Beyond the headers the constructor refuses, a file can get wrong only its magic, its
+    length, an ``ESPC2`` delta other than the derived one, or slots that count no partition
+    of the n keys: running counts c_k = t_k - c_{k-1}, from c_0 = 0, non-decreasing to n.
 
     Raises:
-        InvalidIndexFile: bad magic, length inconsistent with K, or a header
-            or slot that :func:`build_espc` cannot produce.
+        InvalidIndexFile: any of these, the constructor's refusal among them.
     """
     magic = blob[: len(MAGIC)]
     if len(blob) < HEADER_BYTES or magic not in (MAGIC, MAGIC_SHIFTED):
         raise InvalidIndexFile("not a serialized index (bad magic)")
-    n, k, x_first, x_last, delta = _HEADER.unpack_from(blob, len(MAGIC))
+    n, k, x_first, x_last, last = _HEADER.unpack_from(blob, len(MAGIC))
     if len(blob) != HEADER_BYTES + SLOT_BYTES * k:
         raise InvalidIndexFile(
             f"expected {HEADER_BYTES + SLOT_BYTES * k} bytes for K={k}, got {len(blob)}"
         )
-    if not (k >= 1 and 1 <= n <= MAX_KEYS and -math.inf < x_first <= x_last < math.inf):
-        raise InvalidIndexFile(f"bad header: n={n}, K={k}, range [{x_first}, {x_last}]")
-    shift = None
-    if magic == MAGIC_SHIFTED:  # EspcIndex derives delta = g(x_last)/K, in (0, inf) here
-        shift = delta
-        if not _shift_ok(x_first, x_last, shift):
-            raise InvalidIndexFile(f"shift {shift} is not finite, below x_first={x_first} "
-                                   f"and within float64 of x_last={x_last}")
-    elif not (delta == (x_last - x_first) / k < math.inf and (delta > 0.0 or k == 1)):
-        raise InvalidIndexFile(f"interval length {delta} does not split the range into K={k}")
     # In native byte order, which the lookup's memoryview of the slots can index.
     t = np.frombuffer(blob, dtype="<u4", count=k, offset=HEADER_BYTES).astype(np.uint32)
+    t.setflags(write=False)
+    try:
+        idx = EspcIndex(x_first=x_first, x_last=x_last, n=n, t=t,
+                        shift=last if magic == MAGIC_SHIFTED else None)
+    except (InvalidParams, InvalidK) as exc:
+        raise InvalidIndexFile(f"bad header: {exc}") from exc
+    if magic == MAGIC and last != idx.delta:
+        raise InvalidIndexFile(f"interval length {last} does not split the range into K={k}")
     c = t.astype(np.int64)  # c_k = t_k - t_{k-1} + t_{k-2} - ...: one signed cumulative sum
     c[1::2] *= -1
     np.cumsum(c, out=c)
     c[1::2] *= -1
     if not (c[-1] == n and np.all(c[:-1] <= c[1:])):  # c_1 = t_1 >= 0 = c_0
         raise InvalidIndexFile(f"slots do not count a partition of n={n} keys into K={k} cells")
-    t.setflags(write=False)
-    return EspcIndex(x_first=x_first, x_last=x_last, n=int(n), t=t, shift=shift)
+    return idx
 
 
 def save_index(idx: EspcIndex, path) -> None:
-    """Write :func:`serialize_index`'s blob: the header, then the slots' own buffer."""
+    """Write :func:`serialize_index`'s blob to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(_header(idx))
-        fh.write(_slot_view(idx))
+        fh.write(serialize_index(idx))
 
 
 def load_index(path) -> EspcIndex:

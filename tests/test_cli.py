@@ -387,6 +387,22 @@ class TestUsage:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("x_first, x_last", [(1.0, 0.0), (1.0, 1.0), (-1e308, 1e308),
+                                                  (0.0, 5e-324)],
+                             ids=["reversed", "one_point", "overflow", "underflow"])
+    def test_index_whose_header_no_index_holds_exits_three(self, tmp_path, capsys, int_file,
+                                                           x_first, x_last):
+        # Two cells holding one key each, with the length the header's range derives.
+        header = struct.pack("<QQddd", 2, 2, x_first, x_last, (x_last - x_first) / 2)
+        idx_path = tmp_path / "keys.espc"
+        idx_path.write_bytes(b"ESPC2" + header + struct.pack("<2I", 1, 3))
+        code, out, err = _run(
+            capsys, ["query", "--index", str(idx_path), "--data", int_file, "--q", "5"]
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "interval length" in err and "Traceback" not in err
+
+
 def _bad_config(text):
     def argv(tmp_path):
         path = tmp_path / "cfg.json"

@@ -678,6 +678,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("x_first, x_last, delta", [
         (0.0, 2.0, 0.75),  # not the range split in two
+        (1.0, 0.0, -0.5),  # a reversed range
         (1.0, 1.0, 0.0),  # two cells over one point
         (0.0, 5e-324, 0.0),  # the length underflows to 0
         (-1e308, 1e308, math.inf),  # the length overflows
@@ -687,6 +688,9 @@ class TestSerialization:
         blob = b"ESPC2" + struct.pack("<QQddd", 2, 2, x_first, x_last, delta) + slots
         with pytest.raises(InvalidIndexFile, match="interval length"):
             deserialize_index(blob)
+        if delta == (x_last - x_first) / 2:  # the derived length: the constructor refuses it
+            with pytest.raises(InvalidParams, match="^interval length"):
+                EspcIndex(x_first=x_first, x_last=x_last, n=2, t=np.array([1, 3], dtype=np.uint32))
 
     def test_loads_one_cell_over_one_point(self):
         blob = b"ESPC2" + struct.pack("<QQddd", 1, 1, 1.0, 1.0, 0.0) + struct.pack("<I", 1)

@@ -235,6 +235,38 @@ def test_every_exported_real_parameter_has_a_row():
     assert set(REAL_ROWS) - found == set(), "a row names no exported real-valued parameter"
 
 
+class TestTypedFields:
+    """A field whose value is not of its type is refused when its structure is made."""
+
+    BENCH = {"dataset": DatasetSpec("uniform", n=400), "n_sub": 300, "k_grid": (16,),
+             "queries": 64}
+
+    @pytest.mark.parametrize("field, bad", [
+        ("dataset", "uniform"), ("dataset", None), ("query_dist", "uniform"),
+        ("rho_method", "histogramm"), ("rho_method", 5), ("rho_method", None),
+        ("rescale", "no"), ("rescale", 0), ("rescale", None),
+        ("output", 1), ("output", b"rows.csv"),  # 1: a file descriptor, which would be closed
+    ])
+    def test_bench_config_refuses_a_field_of_another_type(self, field, bad):
+        message = f"^{field} must be .*, got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidParams, match=message):
+            BenchConfig(**{**self.BENCH, field: bad})
+
+    def test_bench_config_takes_each_type_its_fields_allow(self, tmp_path):
+        cfg = BenchConfig(**self.BENCH, query_dist=DatasetSpec("beta22"), rho_method=KERNEL,
+                          rescale=False, output=tmp_path / "rows.csv")
+        assert len(run_error_experiment(cfg)) == 1
+        assert (tmp_path / "rows.csv").read_text().startswith(",".join(CSV_COLUMNS))
+        for output in (None, str(tmp_path / "other.csv")):
+            assert BenchConfig(**self.BENCH, output=output).output == output
+
+    def test_hier_index_refuses_a_layer_of_another_type(self):
+        with pytest.raises(InvalidParams, match="^boundaries must be KeyArray, got array"):
+            HierIndex(HIER.boundaries.keys, HIER.top, HIER.n)
+        with pytest.raises(InvalidParams, match="^top must be EspcIndex, got HierIndex"):
+            HierIndex(HIER.boundaries, HIER, HIER.n)
+
+
 class TestContainers:
     def test_k_grid_that_is_not_a_sequence_raises_invalid_k(self):
         with pytest.raises(InvalidK, match="k_grid must be a tuple of integers, got 5$"):

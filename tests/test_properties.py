@@ -11,7 +11,9 @@ interpreted reference counts that gallop from the rank alone, from every start a
 first step, and the batched gallop equals the scalar one lane by lane.
 Serialized indexes round-trip, and a corrupted
 one is rejected at load, or it no longer matches the keys, or it gives
-exact ranks.
+exact ranks.  The constructor refuses exactly the headers the loader refuses,
+and an index both accept round-trips bit-exactly and predicts alike at any query
+through the scalar and the batched path.
 The batched lookup equals the scalar one, rank and comparisons, on query
 arrays of float64 (either key mode) and uint64 (integer keys).  The cell
 probabilities are the occupancies the index's slots encode, and the slots
@@ -31,6 +33,7 @@ floor the cells stay equal in x.
 """
 
 import math
+import struct
 import sys
 import warnings
 from unittest import mock
@@ -57,7 +60,9 @@ from espc.errors import (
 )
 from espc.index import (
     _SHIFT_FRACTIONS,
+    MAX_KEYS,
     SHIFT_FLOOR,
+    EspcIndex,
     _bisect_starts,
     _cell_counts,
     _cell_starts,
@@ -417,6 +422,58 @@ def test_serialization_round_trips(A, k):
     if idx is not None:
         blob = serialize_index(idx)
         assert serialize_index(deserialize_index(blob)) == blob
+
+
+_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 1.7976931348623157e308,
+                     5e-324, -5e-324, 1e-310]),
+    _FINITE,
+)
+
+
+@st.composite
+def headers(draw):
+    """(n, cell counts that partition n, x_first, x_last, shift): ends that are reversed,
+    equal, huge or subnormal, or x_last a step above x_first, and a shift that is None,
+    any end, or a step below x_first."""
+    n = draw(st.sampled_from([*range(61), MAX_KEYS, MAX_KEYS + 1]))
+    k = draw(st.integers(0, 6))
+    cuts = draw(st.lists(st.integers(0, n), min_size=max(k - 1, 0), max_size=max(k - 1, 0)))
+    counts = np.diff([0, *sorted(cuts), n]).tolist() if k else []
+    x_first = draw(_ENDS)
+    scale = abs(x_first) or 1.0
+    steps = st.sampled_from([5e-324, 1e-300, 1e-9, 1.0, 1e300]).map(lambda c: c * scale)
+    x_last = draw(st.one_of(steps.map(lambda c: x_first + c), _ENDS))
+    shift = draw(st.one_of(st.none(), steps.map(lambda c: x_first - c), _ENDS))
+    return n, counts, x_first, x_last, shift
+
+
+@given(headers())
+@example((4, [2, 2], 1.0, 0.0, None))  # a reversed range
+@example((2, [1, 1], 1.0, 1.0, None))  # two cells over one point
+@example((2, [1, 1], -1e308, 1e308, None))  # the interval length overflows to inf
+@example((2, [1, 1], 0.0, 5e-324, None))  # and underflows to 0
+def test_the_constructor_refuses_exactly_the_headers_the_loader_refuses(header):
+    n, counts, x_first, x_last, shift = header
+    c = np.cumsum(counts, dtype=np.int64)
+    t = (c + np.concatenate([[0], c[:-1]])).astype(np.uint32)  # t_k = c_{k-1} + c_k
+    last = (x_last - x_first) / max(len(t), 1) if shift is None else shift  # as derived
+    magic = b"ESPC2" if shift is None else b"ESPC3"
+    header = struct.pack("<QQddd", n, len(t), x_first, x_last, last)
+    blob = magic + header + t.astype("<u4").tobytes()
+    try:
+        idx = EspcIndex(x_first=x_first, x_last=x_last, n=n, t=t, shift=shift)
+    except (InvalidParams, InvalidK):
+        with pytest.raises(InvalidIndexFile):
+            deserialize_index(blob)
+        return
+    loaded = deserialize_index(blob)
+    assert serialize_index(idx) == blob == serialize_index(loaded)
+    outside = [-math.inf, math.nextafter(x_first, -math.inf), math.nextafter(x_last, math.inf),
+               math.inf]
+    for q in [x_first, x_last, x_first / 2 + x_last / 2, *outside]:
+        for index in (idx, loaded):
+            assert predict(index, q) == predict_many(index, [q])[0]
 
 
 @given(arrays_and_queries(), st.integers(1, 80), st.data())
