@@ -66,9 +66,11 @@ from espc.index import (
     _bisect_starts,
     _cell_counts,
     _cell_starts,
+    _choose_shift,
     _proved_starts,
     _shift_ok,
     _span,
+    _stretch_counts,
     assign_intervals,
     build_equal_probability,
     build_espc,
@@ -688,6 +690,80 @@ def test_counts_agree_on_both_sides_of_the_bisection_switch(kind, monkeypatch):
             assert _cell_counts(keys, lo, top, k).tobytes() == expected.tobytes()
     # Guessed where 2 bit_length(n) (K + 1024) < 3n, both sides of the switch.
     assert sorted(set(guessed)) == [1, 2, 50, 400, 2725]
+
+
+# The edge keys above with each key repeated up to 100 times, so that whole stretches
+# of 64 keys lie in one cell, on its edges, and across -0.0 and +0.0.
+_stretched_keys = st.tuples(_edge_keys, st.integers(1, 100)).map(
+    lambda kr: validate_key_array(np.repeat(kr[0].keys, kr[1]), kr[0].mode)
+)
+
+
+@given(_stretched_keys, st.integers(1, 300), st.floats(0.0, 2.0),
+       st.sampled_from((None,) + _SHIFT_FRACTIONS))
+def test_stretch_counts_equal_one_pass_over_every_key(A, k, pad, fraction):
+    keys = A.keys
+    lo, hi = float(keys[0]), float(keys[-1])
+    top = hi + pad * (hi - lo)  # histogram_density may widen the last cell past x_max
+    shift = None if fraction is None else lo - fraction * (hi - lo)  # a log scale, as built
+    hypothesis.assume(lo < hi and math.isfinite(top))
+    hypothesis.assume(shift is None or _shift_ok(lo, top, shift))
+    step = _span(lo, top, shift) / k
+    hypothesis.assume(0.0 < step < math.inf)
+    one_pass = np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:]
+    assert _stretch_counts(keys, lo, step, k, shift).tobytes() == one_pass.tobytes()
+
+
+_SWITCHED = {  # 40 000 keys of each kind, past the floor where a count probes its stretches
+    "uniform": lambda rng: validate_key_array(rng.random(_LARGE_N), FLOAT_MODE),
+    "pooled": lambda rng: validate_key_array(
+        rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 3.0]), _LARGE_N), FLOAT_MODE),
+    "lognormal": lambda rng: validate_key_array(rng.lognormal(0.0, 2.0, _LARGE_N), FLOAT_MODE),
+    "top": lambda rng: validate_key_array(  # integers float64 rounds to multiples of 2 048
+        rng.integers(_U64_MAX - 2**20, _U64_MAX, _LARGE_N, dtype=np.uint64, endpoint=True),
+        INT_MODE),
+}
+
+
+@hypothesis.settings(max_examples=60)
+@given(st.sampled_from(sorted(_SWITCHED)), st.integers(0, 2**32), st.booleans(),
+       st.one_of(st.integers(1, 2725), st.integers(2726, 4 * _LARGE_N)), st.floats(0.0, 2.0))
+def test_counts_equal_one_pass_across_both_switches(kind, seed, log_scale, k, pad):
+    A = _SWITCHED[kind](np.random.default_rng(seed))
+    keys = A.keys
+    lo, hi = float(keys[0]), float(keys[-1])
+    top = hi + pad * (hi - lo)  # histogram_density may widen the last cell past x_max
+    shift = _choose_shift(keys, lo, hi) if log_scale else None
+    hypothesis.assume(shift is None or _shift_ok(lo, top, shift))
+    step = _span(lo, top, shift) / k
+    one_pass = np.bincount(assign_intervals(keys, lo, step, k, shift), minlength=k + 1)[1:]
+    with mock.patch("espc.index._stretch_counts", wraps=_stretch_counts) as stretched:
+        counts = _cell_counts(keys, lo, top, k, shift)
+    hypothesis.event(f"{kind}, log scale: {shift is not None}, guessed: {k <= 2725}, "
+                     f"stretches: {stretched.called}")
+    assert counts.tobytes() == one_pass.tobytes()
+
+
+@pytest.mark.parametrize("kind, stretched_ks", [
+    ("uniform", []), ("pooled", [2726, 10_000, _LARGE_N - 1]),
+    ("lognormal", [2726, 10_000, _LARGE_N - 1]), ("top", []),
+])
+def test_counts_agree_on_both_sides_of_the_stretch_switch(kind, stretched_ks, monkeypatch):
+    keys = _SWITCHED[kind](np.random.default_rng(11)).keys
+    lo, hi = float(keys[0]), float(keys[-1])
+    stretched = []
+
+    def counted(*args):
+        stretched.append(k)
+        return _stretch_counts(*args)
+
+    monkeypatch.setattr("espc.index._stretch_counts", counted)
+    for k in (2725, 2726, 10_000, _LARGE_N - 1, _LARGE_N, 40 * _LARGE_N):
+        step = (hi - lo) / k
+        expected = np.bincount(assign_intervals(keys, lo, step, k), minlength=k + 1)[1:]
+        assert _cell_counts(keys, lo, hi, k).tobytes() == expected.tobytes()
+    # Stretches only past the guessing switch, below K = n, where the probe finds few edges.
+    assert sorted(set(stretched)) == stretched_ks
 
 
 @given(_sortable_keys)

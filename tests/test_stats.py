@@ -18,7 +18,7 @@ from espc.errors import (
     OutOfRange,
     SupportViolation,
 )
-from espc.index import CELL_LIMIT, _cell_counts
+from espc.index import CELL_LIMIT, _cell_counts, _stretch_counts
 from espc.stats import (
     HISTOGRAM,
     KERNEL,
@@ -341,6 +341,11 @@ class TestKernelDensity:
             dens(x)
 
 
+@pytest.fixture(scope="module")
+def lognormal_keys():
+    return validate_key_array(np.random.default_rng(5).lognormal(0.0, 2.0, 10**6), FLOAT_MODE)
+
+
 class TestRhoEstimator:
     def test_uniform_near_one(self):
         keys = generate(DatasetSpec("uniform", n=400_000, seed=41))
@@ -394,6 +399,36 @@ class TestRhoEstimator:
             lhs = error_bound_partition(keys.n, prof)
             rhs = error_bound_rho(keys.n, k, 0.0, 1.0, rho.value)
             assert lhs <= rhs * 1.1
+
+    def test_heavy_tails_count_by_stretches(self, lognormal_keys, monkeypatch):
+        # The Freedman-Diaconis bins of 10^6 lognormal keys are mostly empty, so they are
+        # counted a stretch at a time; K = n over evenly spread keys passes over every key.
+        stretched = []
+
+        def counted(keys, lo, step, k, shift=None):
+            stretched.append(k)
+            return _stretch_counts(keys, lo, step, k, shift)
+
+        monkeypatch.setattr("espc.index._stretch_counts", counted)
+        estimate_rho(lognormal_keys)
+        assert len(stretched) == 1 and stretched[0] > 100_000  # its bins, not a sample's
+        stretched.clear()
+        uniform = generate(DatasetSpec("uniform", n=10**5, seed=50))
+        partition_probabilities(uniform, 0.0, 1.0, uniform.n)
+        assert stretched == []
+
+    def test_heavy_tails_count_in_little_memory(self, lognormal_keys):
+        # One pass over every key held 16 MB of n-sized temporaries for these counts.
+        keys = lognormal_keys.keys
+        lo, hi, k = float(keys[0]), float(keys[-1]), 178_348
+        tracemalloc.start()
+        try:
+            counts = _cell_counts(keys, lo, hi, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == keys.size
+        assert peak < 5 * 10**6  # the K-sized counts and the stretches that cross an edge
 
     def test_rejects_bad_args(self):
         keys = generate(DatasetSpec("uniform", n=100, seed=49))
